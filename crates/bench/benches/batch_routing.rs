@@ -1,8 +1,8 @@
-//! Criterion bench for the batch-routing driver: thread scaling and the
-//! frontier cache on a fixed seeded mixed-degree workload.
+//! Criterion bench for the batch-routing driver: thread scaling on a
+//! fixed seeded mixed-degree workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use patlabor::{CacheConfig, Net, PatLabor, RouterConfig};
+use patlabor::{Net, PatLabor, RouterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,22 +22,15 @@ fn bench_batch_routing(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_routing");
     group.sample_size(10);
     group.throughput(Throughput::Elements(nets.len() as u64));
-    for cache in [false, true] {
-        let router = PatLabor::with_config(RouterConfig {
-            lambda: 5,
-            cache: if cache {
-                CacheConfig::default()
-            } else {
-                CacheConfig::disabled()
-            },
-            ..RouterConfig::default()
+    let router = PatLabor::with_config(RouterConfig {
+        lambda: 5,
+        ..RouterConfig::default()
+    });
+    for threads in [1usize, 2, 4, 8] {
+        let label = format!("threads_{threads}");
+        group.bench_with_input(BenchmarkId::from_parameter(label), &threads, |b, &t| {
+            b.iter(|| std::hint::black_box(router.route_batch(&nets, t).len()))
         });
-        for threads in [1usize, 2, 4, 8] {
-            let label = format!("threads_{threads}_cache_{}", if cache { "on" } else { "off" });
-            group.bench_with_input(BenchmarkId::from_parameter(label), &threads, |b, &t| {
-                b.iter(|| std::hint::black_box(router.route_batch(&nets, t).len()))
-            });
-        }
     }
     group.finish();
 }

@@ -15,19 +15,14 @@
 //!   engine (`route_batch`): a tool without a delta API cannot know
 //!   which routes survived the edit, so it pays for the whole design;
 //! * **delta** — reroute only the edited nets through
-//!   [`Engine::route_batch_deltas`] against the warm engine that routed
-//!   the base design; untouched nets keep their prior outcomes at zero
-//!   cost, class-preserving edits replay cached winner ids without
-//!   scoring a LUT candidate, class-breaking edits fall through the
+//!   [`Engine::route_batch_deltas`]; untouched nets keep their prior
+//!   outcomes at zero cost, and each edited net is routed through the
 //!   ordinary ladder.
 //!
 //! Throughput is **design nets per second** (N over elapsed) on both
 //! sides, so the two numbers answer the same question: how fast is the
-//! design's routing state valid again? Every delta frontier is checked
-//! identical to its fresh counterpart before any number is reported,
-//! and the measured replay fraction (provenance `Reused` over the
-//! edited slots) is recorded so a drifting edit generator cannot
-//! silently skew the curve.
+//! design's routing state valid again? Every delta outcome is checked
+//! identical to its fresh counterpart before any number is reported.
 //!
 //! CI gate: set `PATLABOR_MIN_ECO_SPEEDUP` (e.g. `3.0`) to make the
 //! bench exit nonzero when the serial delta-vs-fresh ratio at reuse
@@ -37,7 +32,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use patlabor::pipeline::RouteSource;
 use patlabor::{DeltaJob, DeltaKind, Engine, Net, NetDelta, Point, Session};
 
 const SEED: u64 = 0xec0_ba5e;
@@ -49,7 +43,6 @@ struct EcoRow {
     threads: usize,
     design_nets: usize,
     edits: usize,
-    replayed: usize,
     fresh_nets_per_sec: f64,
     delta_nets_per_sec: f64,
     delta_vs_fresh: f64,
@@ -59,13 +52,12 @@ impl EcoRow {
     fn to_json(&self) -> String {
         format!(
             "{{\"reuse_target\": {:.2}, \"threads\": {}, \"design_nets\": {}, \
-             \"edits\": {}, \"replayed\": {}, \"fresh_nets_per_sec\": {:.2}, \
+             \"edits\": {}, \"fresh_nets_per_sec\": {:.2}, \
              \"delta_nets_per_sec\": {:.2}, \"delta_vs_fresh\": {:.4}}}",
             self.reuse_target,
             self.threads,
             self.design_nets,
             self.edits,
-            self.replayed,
             self.fresh_nets_per_sec,
             self.delta_nets_per_sec,
             self.delta_vs_fresh,
@@ -74,10 +66,9 @@ impl EcoRow {
 }
 
 /// The edited slots at reuse level `reuse`, spread evenly over the
-/// design: every edited net gets one edit — a class-preserving rigid
-/// translate, except every fourth edit, which moves the last pin far
-/// enough to break the congruence class (same degree, so the fresh
-/// route stays table-backed).
+/// design: every edited net gets one edit — a rigid translate, except
+/// every fourth edit, which moves the last pin far enough to change the
+/// net's pattern (same degree, so the route stays table-backed).
 fn edits_at(bases: &[Net], reuse: f64) -> Vec<(usize, DeltaJob)> {
     let count = bases.len();
     let edits = (((1.0 - reuse) * count as f64).round() as usize).max(1);
@@ -113,9 +104,8 @@ fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
     eprintln!("generating {count} base nets (seed {SEED:#x}), hardware threads = {hardware} ...");
     let table = patlabor_lut::LutBuilder::new(LAMBDA).build();
-    // Replayable degrees only: ECO reuse is a statement about
-    // table-backed congruence classes, so out-of-λ nets (local search)
-    // would only dilute the measurement.
+    // Table-backed degrees only, so the edited nets route through the
+    // LUT rung on both sides.
     let bases: Vec<Net> = patlabor_bench::mixed_workload(count * 3, SEED)
         .into_iter()
         .filter(|n| (3..=LAMBDA as usize).contains(&n.degree()))
@@ -143,31 +133,14 @@ fn main() {
             let fresh = fresh_engine.route_batch(&mutated_design, threads);
             let fresh_nps = count as f64 / start.elapsed().as_secs_f64();
 
-            // Delta side: a fresh warm engine per run (the base design
-            // routes untimed) so no measurement inherits classes a
-            // previous run inserted; only the edited nets are retimed.
-            let warm = Engine::with_table(table.clone());
-            warm.route_batch(&bases, hardware);
+            // Delta side: only the edited nets are routed.
+            let engine = Engine::with_table(table.clone());
             let start = Instant::now();
-            let (delta, _) = warm.route_batch_deltas(&jobs, threads);
+            let (delta, _) = engine.route_batch_deltas(&jobs, threads);
             let delta_nps = count as f64 / start.elapsed().as_secs_f64();
 
-            let replayed = delta
-                .iter()
-                .filter(|r| {
-                    matches!(
-                        r.as_ref().map(|o| o.provenance.source),
-                        Ok(RouteSource::Reused { .. })
-                    )
-                })
-                .count();
             for ((slot, _), d) in edits.iter().zip(&delta) {
-                let same = match (d, &fresh[*slot]) {
-                    (Ok(d), Ok(f)) => d.frontier == f.frontier,
-                    (Err(d), Err(f)) => d == f,
-                    _ => false,
-                };
-                if !same {
+                if *d != fresh[*slot] {
                     deterministic = false;
                     eprintln!(
                         "ERROR: reuse {reuse}, threads {threads}: \
@@ -180,7 +153,7 @@ fn main() {
             }
             eprintln!(
                 "reuse {reuse:.2}, threads {threads}: {} edits, fresh {fresh_nps:.0} nets/s, \
-                 delta {delta_nps:.0} nets/s ({:.1}x), {replayed} replayed",
+                 delta {delta_nps:.0} nets/s ({:.1}x)",
                 jobs.len(),
                 delta_nps / fresh_nps,
             );
@@ -189,7 +162,6 @@ fn main() {
                 threads,
                 design_nets: count,
                 edits: jobs.len(),
-                replayed,
                 fresh_nets_per_sec: fresh_nps,
                 delta_nets_per_sec: delta_nps,
                 delta_vs_fresh: delta_nps / fresh_nps,
@@ -200,7 +172,7 @@ fn main() {
     println!(
         "{}",
         patlabor_bench::render_table(
-            &["reuse", "threads", "edits", "fresh nets/s", "delta nets/s", "delta/fresh", "replayed"],
+            &["reuse", "threads", "edits", "fresh nets/s", "delta nets/s", "delta/fresh"],
             &eco_rows
                 .iter()
                 .map(|r| {
@@ -211,7 +183,6 @@ fn main() {
                         format!("{:.0}", r.fresh_nets_per_sec),
                         format!("{:.0}", r.delta_nets_per_sec),
                         format!("{:.1}x", r.delta_vs_fresh),
-                        r.replayed.to_string(),
                     ]
                 })
                 .collect::<Vec<_>>(),
@@ -229,8 +200,8 @@ fn main() {
     let _ = writeln!(
         extra,
         "  \"headline\": {{\"reuse_099_serial_delta_vs_fresh\": {headline_ratio:.4}, \
-         \"reuse_099_edits\": {}, \"reuse_099_replayed\": {}}},",
-        headline.edits, headline.replayed
+         \"reuse_099_edits\": {}}},",
+        headline.edits
     );
     let _ = writeln!(extra, "  \"deterministic_vs_fresh\": {deterministic},");
     let _ = writeln!(extra, "  \"eco_runs\": [");
@@ -253,10 +224,8 @@ fn main() {
         "eco_runs compare refreshing an edited design's routing state through \
          route_batch_deltas (edited nets only; untouched nets keep their routes) \
          against a cold-engine route of the whole design. reuse_target is the \
-         untouched design fraction; replayed counts edited slots whose provenance \
-         came back Reused (class-preserving edits served from cached winner ids). \
-         Both throughputs are design nets per second. serial_nets_per_sec is the \
-         fresh serial baseline at reuse 0.99. Every delta frontier is checked \
+         untouched design fraction. Both throughputs are design nets per second. serial_nets_per_sec is the \
+         fresh serial baseline at reuse 0.99. Every delta outcome is checked \
          identical to its fresh counterpart.",
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR9.json");
@@ -285,7 +254,6 @@ fn main() {
     patlabor_bench::paper_note(
         "the paper routes each design once; this bench measures the incremental \
          regime an ECO flow lives in — most of the design is untouched, and the \
-         delta API retimes only what moved while replaying cached winners for \
-         class-preserving edits",
+         delta API reroutes only what moved",
     );
 }

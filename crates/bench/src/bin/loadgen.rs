@@ -404,8 +404,7 @@ fn external(addr: SocketAddr) {
     // fail — `ok` with `degraded: true` and a deadline in the trace.
     // Degree-2 nets are excluded (their closed form beats any
     // deadline), and the nets come from a *different* seed than the
-    // main load: a net already routed would be a frontier-cache hit,
-    // and a cache hit legitimately serves full-fidelity with no budget.
+    // main load.
     let mut probe = RouteClient::connect(addr)
         .unwrap_or_else(|e| fail(&format!("deadline probe connect failed: {e}")));
     let deadline_pool = patlabor_netgen::iccad_like_suite(SEED ^ 0xdead_beef, 4 * DEADLINE_PROBES, 8);
@@ -484,7 +483,6 @@ fn external(addr: SocketAddr) {
             "patlabor_batches_total",
             "patlabor_batched_nets_total",
             "patlabor_deadline_hits_total",
-            "patlabor_cache_hit_rate",
             "patlabor_latency_seconds_count",
         ] {
             check(

@@ -118,7 +118,7 @@ fn main() {
             .query_materialize_all(net, &class)
             .expect("tabulated pattern");
         assert_eq!(
-            fast.0.cost_vec(),
+            fast.cost_vec(),
             reference.cost_vec(),
             "v3 kernel diverged from the reference path on {:?}",
             net.pins()

@@ -70,7 +70,7 @@ fn router(table: &patlabor::LookupTable, budgeted: bool) -> PatLabor {
 }
 
 fn measure(table: &patlabor::LookupTable, nets: &[Net], budgeted: bool) -> f64 {
-    // A fresh router per run: cold cache, identical for both configs.
+    // A fresh router per run, identical for both configs.
     let r = router(table, budgeted);
     let start = Instant::now();
     let results = r.route_batch(nets, 1);

@@ -1,15 +1,12 @@
-//! The scaling-curve bench: does `route_batch` actually scale, and does
-//! the frontier cache pay under real parallelism? Writes `BENCH_PR7.json`
-//! at the repository root in the shared `scaling-v1` schema
-//! ([`patlabor_bench::scaling`]).
+//! The scaling-curve bench: does `route_batch` actually scale? Writes
+//! `BENCH_PR7.json` at the repository root in the shared `scaling-v1`
+//! schema ([`patlabor_bench::scaling`]).
 //!
-//! What it measures, per thread count 1→N (N = hardware threads), cache
-//! on and off:
-//! * throughput and speedup against the serial cache-off baseline;
+//! What it measures, per thread count 1→N (N = hardware threads):
+//! * throughput and speedup against the serial baseline;
 //! * per-worker utilization (busy-ns / elapsed) and its minimum — the
 //!   load-balance floor the work-stealing deques are supposed to hold up;
-//! * steal counts and lost steal races;
-//! * per-shard cache lock contention (failed try-locks).
+//! * steal counts and lost steal races.
 //!
 //! Thread counts above the hardware count are measured only as
 //! *oversubscription observations*: they land in a structurally separate
@@ -22,7 +19,7 @@
 //! bit-identical to the serial ordering before its numbers are reported.
 //!
 //! CI gate: set `PATLABOR_MIN_SPEEDUP` (e.g. `3.0`) to make the bench
-//! exit nonzero when the cache-off speedup at `PATLABOR_SPEEDUP_THREADS`
+//! exit nonzero when the speedup at `PATLABOR_SPEEDUP_THREADS`
 //! (default 4) falls below the floor. The gate only arms when the
 //! machine has at least that many hardware threads — a 1-core runner
 //! cannot measure scaling and must not pretend to.
@@ -31,7 +28,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use patlabor::{BatchConfig, CacheConfig, Net, ParetoSet, PatLabor, RouterConfig, RoutingTree};
+use patlabor::{BatchConfig, Net, ParetoSet, PatLabor, RouterConfig, RoutingTree};
 use patlabor_bench::scaling::ScalingRun;
 
 const SEED: u64 = 0x5ca1_ab1e;
@@ -41,16 +38,12 @@ struct Measured {
     frontiers: Vec<Option<ParetoSet<RoutingTree>>>,
 }
 
-fn router_for(table: &patlabor::LookupTable, cache: bool, chunk: Option<usize>) -> PatLabor {
+fn router_for(table: &patlabor::LookupTable, chunk: Option<usize>) -> PatLabor {
     let config = RouterConfig {
         batch: BatchConfig { chunk_size: chunk },
         ..RouterConfig::default()
     };
-    PatLabor::with_table_and_config(table.clone(), config).with_cache(if cache {
-        CacheConfig::default()
-    } else {
-        CacheConfig::disabled()
-    })
+    PatLabor::with_table_and_config(table.clone(), config)
 }
 
 fn frontiers(results: Vec<patlabor::RouteResult>) -> Vec<Option<ParetoSet<RoutingTree>>> {
@@ -60,37 +53,29 @@ fn frontiers(results: Vec<patlabor::RouteResult>) -> Vec<Option<ParetoSet<Routin
         .collect()
 }
 
-/// One timed run: fresh router (cold cache), full telemetry.
+/// One timed run: fresh router, full telemetry.
 fn measure(
     table: &patlabor::LookupTable,
     nets: &[Net],
     threads: usize,
-    cache: bool,
     chunk: Option<usize>,
     serial_nps: f64,
 ) -> Measured {
-    let router = router_for(table, cache, chunk);
+    let router = router_for(table, chunk);
     let start = Instant::now();
     let (results, stats) = router.route_batch_with_stats(nets, threads);
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(results.len(), nets.len());
     let nets_per_sec = nets.len() as f64 / secs;
-    let (contended_reads, contended_writes) = router
-        .cache_stats()
-        .map_or((0, 0), |s| (s.contended_reads, s.contended_writes));
     Measured {
         run: ScalingRun {
             threads,
-            cache,
             nets_per_sec,
-            cache_hit_rate: router.cache_stats().map_or(0.0, |s| s.hit_rate()),
             speedup_vs_serial: if serial_nps > 0.0 { nets_per_sec / serial_nps } else { 0.0 },
             utilization: Some(stats.utilization()),
             min_worker_utilization: Some(stats.min_worker_utilization()),
             steals: Some(stats.total_steals()),
             failed_steals: Some(stats.total_failed_steals()),
-            contended_reads: Some(contended_reads),
-            contended_writes: Some(contended_writes),
         },
         frontiers: frontiers(results),
     }
@@ -103,13 +88,13 @@ fn main() {
     let nets = patlabor_bench::mixed_workload(count, SEED);
     let table = patlabor_lut::LutBuilder::new(5).build();
 
-    // Untimed warmup, then the serial cache-off baseline every speedup
-    // is measured against.
+    // Untimed warmup, then the serial baseline every speedup is
+    // measured against.
     eprintln!("warmup ...");
-    let serial = measure(&table, &nets, 1, false, None, 0.0);
+    let serial = measure(&table, &nets, 1, None, 0.0);
     eprintln!("serial baseline ...");
     let serial = {
-        let m = measure(&table, &nets, 1, false, None, 0.0);
+        let m = measure(&table, &nets, 1, None, 0.0);
         // Keep the faster of the two serial passes as reference
         // frontiers are identical either way.
         Measured {
@@ -137,26 +122,24 @@ fn main() {
 
     let mut runs: Vec<ScalingRun> = Vec::new();
     let mut deterministic = true;
-    for cache in [false, true] {
-        for &threads in &sweep {
-            eprintln!("threads = {threads}, cache = {cache} ...");
-            let m = measure(&table, &nets, threads, cache, None, serial_nps);
-            if m.frontiers != serial.frontiers {
-                deterministic = false;
-                eprintln!("ERROR: threads = {threads}, cache = {cache} diverged from serial");
-            }
-            runs.push(m.run);
+    for &threads in &sweep {
+        eprintln!("threads = {threads} ...");
+        let m = measure(&table, &nets, threads, None, serial_nps);
+        if m.frontiers != serial.frontiers {
+            deterministic = false;
+            eprintln!("ERROR: threads = {threads} diverged from serial");
         }
+        runs.push(m.run);
     }
 
-    // Chunk-granularity sweep at max parallelism, cache off: how the
-    // steal rate and throughput respond to chunk size, and where the
-    // auto heuristic lands. Grounds BatchConfig's measured default.
+    // Chunk-granularity sweep at max parallelism: how the steal rate
+    // and throughput respond to chunk size, and where the auto
+    // heuristic lands. Grounds BatchConfig's measured default.
     let auto = BatchConfig::default().auto_chunk(nets.len(), hardware);
     eprintln!("chunk sweep at {hardware} thread(s) (auto = {auto}) ...");
     let mut chunk_rows = Vec::new();
     for chunk in [1usize, 4, 16, 64, 256] {
-        let m = measure(&table, &nets, hardware, false, Some(chunk), serial_nps);
+        let m = measure(&table, &nets, hardware, Some(chunk), serial_nps);
         if m.frontiers != serial.frontiers {
             deterministic = false;
             eprintln!("ERROR: chunk = {chunk} diverged from serial");
@@ -165,22 +148,14 @@ fn main() {
         chunk_rows.push((chunk, m.run.nets_per_sec, steal_rate, chunk == auto));
     }
 
-    // The parallel cache verdict, judged at the widest honest thread
-    // count: does routing with the cache beat routing without it?
+    // The headline: speedup at the widest honest thread count.
     let widest = hardware;
-    let at = |cache: bool| {
-        runs.iter()
-            .find(|r| r.threads == widest && r.cache == cache)
-            .expect("swept")
-    };
-    let (off, on) = (at(false), at(true));
-    let cache_ratio = on.nets_per_sec / off.nets_per_sec;
-    let cache_pays = cache_ratio > 1.0;
+    let widest_run = runs.iter().find(|r| r.threads == widest).expect("swept");
 
     println!(
         "{}",
         patlabor_bench::render_table(
-            &["threads", "cache", "nets/s", "speedup", "util", "min util", "steals", "contention"],
+            &["threads", "nets/s", "speedup", "util", "min util", "steals"],
             &runs
                 .iter()
                 .map(|r| {
@@ -190,17 +165,11 @@ fn main() {
                             r.threads,
                             if r.oversubscribed(hardware) { "*" } else { "" }
                         ),
-                        if r.cache { "on" } else { "off" }.to_string(),
                         format!("{:.0}", r.nets_per_sec),
                         format!("{:.2}x", r.speedup_vs_serial),
                         format!("{:.2}", r.utilization.unwrap_or(0.0)),
                         format!("{:.2}", r.min_worker_utilization.unwrap_or(0.0)),
                         r.steals.unwrap_or(0).to_string(),
-                        format!(
-                            "{}r/{}w",
-                            r.contended_reads.unwrap_or(0),
-                            r.contended_writes.unwrap_or(0)
-                        ),
                     ]
                 })
                 .collect::<Vec<_>>(),
@@ -209,21 +178,13 @@ fn main() {
     if sweep.iter().any(|&t| t > hardware) {
         println!("* oversubscribed (threads > {hardware} hardware threads): not scaling data");
     }
-    println!(
-        "cache verdict at {widest} thread(s): {} ({:.2}x vs cache-off, hit rate {:.3})",
-        if cache_pays { "pays" } else { "costs" },
-        cache_ratio,
-        on.cache_hit_rate
-    );
     println!("deterministic vs serial: {deterministic}");
 
     let mut extra = String::new();
     let _ = writeln!(
         extra,
-        "  \"headline\": {{\"max_honest_threads\": {widest}, \
-         \"speedup_cache_off\": {:.4}, \"cache_on_vs_off\": {:.4}, \
-         \"cache_pays\": {cache_pays}, \"cache_hit_rate\": {:.4}}},",
-        off.speedup_vs_serial, cache_ratio, on.cache_hit_rate
+        "  \"headline\": {{\"max_honest_threads\": {widest}, \"speedup\": {:.4}}},",
+        widest_run.speedup_vs_serial
     );
     let _ = writeln!(extra, "  \"deterministic_vs_serial\": {deterministic},");
     let _ = writeln!(extra, "  \"chunk_sweep\": [");
@@ -248,9 +209,8 @@ fn main() {
         &runs,
         &extra,
         "scaling_runs is the curve (threads <= hardware_threads); oversubscribed_runs \
-         measure scheduler time-slicing and are never scaling data. The cache verdict \
-         compares cache-on vs cache-off at the widest honest thread count on this \
-         machine. chunk_sweep grounds BatchConfig's auto chunk heuristic.",
+         measure scheduler time-slicing and are never scaling data. chunk_sweep grounds \
+         BatchConfig's auto chunk heuristic.",
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR7.json");
     std::fs::write(&path, &json).expect("write BENCH_PR7.json");
@@ -273,7 +233,7 @@ fn main() {
         if hardware >= gate_threads {
             let measured = runs
                 .iter()
-                .find(|r| r.threads == gate_threads && !r.cache)
+                .find(|r| r.threads == gate_threads)
                 .map(|r| r.speedup_vs_serial)
                 .expect("gate thread count is inside the sweep");
             println!(

@@ -1,13 +1,13 @@
-//! Batch-routing throughput: the work-stealing driver and the frontier
-//! cache measured on a fixed seeded workload, written to `BENCH_PR1.json`
-//! at the repository root in the shared `scaling-v1` schema
-//! ([`patlabor_bench::scaling`], also used by `bin/scaling.rs`).
+//! Batch-routing throughput: the work-stealing driver measured on a
+//! fixed seeded workload, written to `BENCH_PR1.json` at the repository
+//! root in the shared `scaling-v1` schema ([`patlabor_bench::scaling`],
+//! also used by `bin/scaling.rs`).
 //!
-//! The workload mixes degrees 3–12 (tabulated nets, cached-query nets and
-//! local-search nets) and three coordinate spans, so the cache sees both
-//! dense congruence classes (small spans, many repeated Hanan patterns)
-//! and essentially unique nets (chip-scale spans). Every configuration
-//! routes the same nets; `PATLABOR_SCALE` scales the net count.
+//! The workload mixes degrees 3–12 (tabulated nets and local-search
+//! nets) and three coordinate spans, so it holds both dense congruence
+//! classes (small spans, many repeated Hanan patterns) and essentially
+//! unique nets (chip-scale spans). Every configuration routes the same
+//! nets; `PATLABOR_SCALE` scales the net count.
 //!
 //! Results are honest wall-clock numbers for *this* machine: runs with
 //! more worker threads than hardware threads land in the schema's
@@ -18,25 +18,18 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use patlabor::{CacheConfig, Net, PatLabor};
+use patlabor::{Net, PatLabor};
 use patlabor_bench::scaling::ScalingRun;
 
 const SEED: u64 = 0x7412_0be7;
 
-fn measure(table: &patlabor::LookupTable, nets: &[Net], threads: usize, cache: bool) -> (f64, f64) {
-    // A fresh router per run: every measurement starts from a cold cache.
-    let router = PatLabor::with_table(table.clone()).with_cache(if cache {
-        CacheConfig::default()
-    } else {
-        CacheConfig::disabled()
-    });
+fn measure(router: &PatLabor, nets: &[Net], threads: usize) -> f64 {
     let start = Instant::now();
     let results = router.route_batch(nets, threads);
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(results.len(), nets.len());
     std::hint::black_box(&results);
-    let hit_rate = router.cache_stats().map_or(0.0, |s| s.hit_rate());
-    (nets.len() as f64 / secs, hit_rate)
+    nets.len() as f64 / secs
 }
 
 fn main() {
@@ -44,46 +37,39 @@ fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
     eprintln!("generating {count} nets (degrees 3..=12, seed {SEED:#x}) ...");
     let nets = patlabor_bench::mixed_workload(count, SEED);
-    let table = patlabor_lut::LutBuilder::new(5).build();
+    let router = PatLabor::with_table(patlabor_lut::LutBuilder::new(5).build());
 
     // Untimed warmup: the process's first pass over the workload runs
     // cold (allocator, page cache, CPU frequency) and would otherwise
     // penalize whichever configuration happens to be measured first.
     eprintln!("warmup ...");
-    measure(&table, &nets, 1, false);
+    measure(&router, &nets, 1);
 
-    // Serial baseline: one thread, no cache.
     eprintln!("serial baseline ...");
-    let (serial_nps, _) = measure(&table, &nets, 1, false);
+    let serial_nps = measure(&router, &nets, 1);
 
     let mut runs = Vec::new();
-    for cache in [false, true] {
-        for threads in [1usize, 2, 4, 8] {
-            eprintln!("threads = {threads}, cache = {cache} ...");
-            let (nets_per_sec, cache_hit_rate) = measure(&table, &nets, threads, cache);
-            runs.push(ScalingRun {
-                threads,
-                cache,
-                nets_per_sec,
-                cache_hit_rate,
-                speedup_vs_serial: nets_per_sec / serial_nps,
-                ..ScalingRun::default()
-            });
-        }
+    for threads in [1usize, 2, 4, 8] {
+        eprintln!("threads = {threads} ...");
+        let nets_per_sec = measure(&router, &nets, threads);
+        runs.push(ScalingRun {
+            threads,
+            nets_per_sec,
+            speedup_vs_serial: nets_per_sec / serial_nps,
+            ..ScalingRun::default()
+        });
     }
 
     println!(
         "{}",
         patlabor_bench::render_table(
-            &["threads", "cache", "nets/s", "hit rate", "speedup", "oversub"],
+            &["threads", "nets/s", "speedup", "oversub"],
             &runs
                 .iter()
                 .map(|r| {
                     vec![
                         r.threads.to_string(),
-                        if r.cache { "on" } else { "off" }.to_string(),
                         format!("{:.0}", r.nets_per_sec),
-                        format!("{:.3}", r.cache_hit_rate),
                         format!("{:.2}x", r.speedup_vs_serial),
                         if r.oversubscribed(hardware) { "yes" } else { "" }.to_string(),
                     ]
@@ -101,17 +87,15 @@ fn main() {
         .max_by(|a, b| a.nets_per_sec.total_cmp(&b.nets_per_sec))
         .expect("the 1-thread runs are never oversubscribed");
     println!(
-        "headline: {:.0} nets/s ({} thread(s), cache {}; oversubscribed runs excluded)",
-        headline.nets_per_sec,
-        headline.threads,
-        if headline.cache { "on" } else { "off" },
+        "headline: {:.0} nets/s ({} thread(s); oversubscribed runs excluded)",
+        headline.nets_per_sec, headline.threads,
     );
 
     let mut extra = String::new();
     let _ = writeln!(
         extra,
-        "  \"headline\": {{\"threads\": {}, \"cache\": {}, \"nets_per_sec\": {:.2}}},",
-        headline.threads, headline.cache, headline.nets_per_sec
+        "  \"headline\": {{\"threads\": {}, \"nets_per_sec\": {:.2}}},",
+        headline.threads, headline.nets_per_sec
     );
     let json = patlabor_bench::scaling::render_report(
         &patlabor_bench::scaling::ReportHeader {
@@ -135,6 +119,6 @@ fn main() {
     eprintln!("wrote {}", path.display());
     patlabor_bench::paper_note(
         "the paper evaluates all methods multithreaded (footnote 4); this harness \
-         measures the batch driver and frontier cache on the machine at hand",
+         measures the batch driver on the machine at hand",
     );
 }

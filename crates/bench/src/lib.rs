@@ -315,9 +315,8 @@ mod tests {
 /// Repeated cells and macros give real placements many congruent nets:
 /// identical relative pin geometry at different offsets and
 /// orientations. A third of the workload instantiates a small pool of
-/// master patterns that way (cache hits after the first encounter); the
-/// rest are fresh random nets of mixed degree 3–12 (mostly misses, and
-/// above λ the local-search path, which bypasses the cache).
+/// master patterns that way; the rest are fresh random nets of mixed
+/// degree 3–12 (above λ, the local-search path).
 pub fn mixed_workload(count: usize, seed: u64) -> Vec<Net> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

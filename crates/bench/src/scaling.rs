@@ -14,9 +14,9 @@ use std::fmt::Write as _;
 
 /// One measured batch-routing run at a fixed thread count.
 ///
-/// The first five fields are the common core both benches fill; the
-/// `Option` telemetry (worker utilization, steal counts, lock
-/// contention) is recorded by `scaling.rs`, which routes through
+/// The first three fields are the common core both benches fill; the
+/// `Option` telemetry (worker utilization, steal counts) is recorded by
+/// `scaling.rs`, which routes through
 /// `route_batch_with_stats`, and omitted from rows produced by the
 /// plain throughput bench. `None` fields are absent from the JSON
 /// rather than zero-filled, so "not measured" and "measured zero"
@@ -25,13 +25,9 @@ use std::fmt::Write as _;
 pub struct ScalingRun {
     /// Worker threads requested.
     pub threads: usize,
-    /// Frontier cache enabled.
-    pub cache: bool,
     /// Nets routed per wall-clock second.
     pub nets_per_sec: f64,
-    /// Aggregate cache hit rate (0 when the cache is off).
-    pub cache_hit_rate: f64,
-    /// Throughput relative to the serial cache-off baseline.
+    /// Throughput relative to the serial baseline.
     pub speedup_vs_serial: f64,
     /// Mean worker utilization: Σ busy-ns / (elapsed × workers).
     pub utilization: Option<f64>,
@@ -41,10 +37,6 @@ pub struct ScalingRun {
     pub steals: Option<u64>,
     /// Lost steal races across all workers.
     pub failed_steals: Option<u64>,
-    /// Cache read-lock acquisitions that found the shard lock held.
-    pub contended_reads: Option<u64>,
-    /// Cache write-lock acquisitions that found the shard lock held.
-    pub contended_writes: Option<u64>,
 }
 
 impl ScalingRun {
@@ -59,9 +51,8 @@ impl ScalingRun {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\"threads\": {}, \"cache\": {}, \"nets_per_sec\": {:.2}, \
-             \"cache_hit_rate\": {:.4}, \"speedup_vs_serial\": {:.4}",
-            self.threads, self.cache, self.nets_per_sec, self.cache_hit_rate, self.speedup_vs_serial
+            "{{\"threads\": {}, \"nets_per_sec\": {:.2}, \"speedup_vs_serial\": {:.4}",
+            self.threads, self.nets_per_sec, self.speedup_vs_serial
         );
         if let Some(u) = self.utilization {
             let _ = write!(s, ", \"utilization\": {u:.4}");
@@ -74,12 +65,6 @@ impl ScalingRun {
         }
         if let Some(n) = self.failed_steals {
             let _ = write!(s, ", \"failed_steals\": {n}");
-        }
-        if let Some(n) = self.contended_reads {
-            let _ = write!(s, ", \"contended_reads\": {n}");
-        }
-        if let Some(n) = self.contended_writes {
-            let _ = write!(s, ", \"contended_writes\": {n}");
         }
         s.push('}');
         s
@@ -258,9 +243,7 @@ mod tests {
     fn run(threads: usize) -> ScalingRun {
         ScalingRun {
             threads,
-            cache: false,
             nets_per_sec: 100.0,
-            cache_hit_rate: 0.0,
             speedup_vs_serial: 1.0,
             ..ScalingRun::default()
         }
@@ -293,13 +276,13 @@ mod tests {
         let full = ScalingRun {
             steals: Some(3),
             utilization: Some(0.5),
-            contended_writes: Some(0),
+            failed_steals: Some(0),
             ..run(1)
         }
         .to_json();
         assert!(full.contains("\"steals\": 3"));
         assert!(full.contains("\"utilization\": 0.5000"));
-        assert!(full.contains("\"contended_writes\": 0"));
+        assert!(full.contains("\"failed_steals\": 0"));
     }
 
     #[test]

@@ -198,16 +198,15 @@ pub struct RouteOptions {
     /// Worker threads for the batch driver. With more than one, routing
     /// goes through the work-stealing batch path (results identical to
     /// serial) and the output ends with the per-worker scaling report:
-    /// utilization, steals and cache lock contention.
+    /// utilization and steals.
     pub threads: usize,
     /// Emit NDJSON instead of the human rendering: one wire-protocol
     /// reply object per net, serialized by [`patlabor_serve::wire`] —
     /// byte-compatible with what `patlabor serve` answers.
     pub json: bool,
-    /// ECO edits (parsed from `--eco <edits file>`), replayed after the
-    /// initial routing pass through [`Engine::reroute`]. Edits chain:
-    /// each applies to the net as left by the previous edit, and
-    /// class-preserving edits answer from replay (`via reused`).
+    /// ECO edits (parsed from `--eco <edits file>`), applied after the
+    /// initial routing pass. Edits chain: each applies to the net as left
+    /// by the previous edit, and each edited net is routed afresh.
     pub eco: Vec<EcoEdit>,
 }
 
@@ -240,7 +239,7 @@ impl Default for RouteOptions {
 /// `<net-index> <kind> <args>`, `#` comments and blank lines ignored.
 ///
 /// ```text
-/// # chained edits; staleness grows per net
+/// # chained edits: each applies to the net as the last edit left it
 /// 0 translate 5,-2
 /// 1 move-pin 2 7,7
 /// 2 add-sink 3,4
@@ -373,7 +372,7 @@ fn render_batch_stats(out: &mut String, stats: &patlabor::BatchStats) {
 /// Runs the `route` command; returns the rendered output.
 ///
 /// Each net's header names the pipeline stage that answered it (`via
-/// exact-lut`, `via cache-hit`, …) and the output ends with an aggregate
+/// exact-lut`, `via local-search`, …) and the output ends with an aggregate
 /// provenance line over all routed nets. Nets served by a fallback rung
 /// additionally print their degradation trace.
 ///
@@ -391,7 +390,7 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
     let drills = !options.faults.is_empty() || options.deadline_ms.is_some();
     if !options.eco.is_empty() && (options.json || drills || options.threads > 1) {
         return Err(usage_error(
-            "--eco replays edits on the serial human-readable path; it cannot \
+            "--eco applies edits on the serial human-readable path; it cannot \
              combine with --json, --threads, --faults or --deadline-ms",
         ));
     }
@@ -457,49 +456,35 @@ pub fn route_command(nets: &[Net], options: &RouteOptions) -> Result<String, Cli
             summary.total()
         ));
         render_batch_stats(&mut out, &stats);
-        if let Some(cache) = engine.cache_stats() {
-            out.push_str(&format!(
-                "cache: {} shards, hit rate {:.3}, contention {}r/{}w{}\n",
-                cache.shards,
-                cache.hit_rate(),
-                cache.contended_reads,
-                cache.contended_writes,
-                if cache.bypassed { ", bypassed" } else { "" },
-            ));
-        }
         return Ok(out);
     }
-    let mut outcomes = Vec::with_capacity(nets.len());
     for (i, net) in nets.iter().enumerate() {
         let outcome = engine
             .route(net)
             .map_err(|source| CliError::Route { net: i, source })?;
         summary.record(&outcome.provenance);
         render_outcome(&mut out, i, net, &outcome, options);
-        outcomes.push(outcome);
     }
     out.push_str(&format!(
         "provenance: {summary} ({} nets)\n",
         summary.total()
     ));
     if !options.eco.is_empty() {
-        render_eco(&mut out, nets, &outcomes, &engine, options)?;
+        render_eco(&mut out, nets, &engine, options)?;
     }
     Ok(out)
 }
 
-/// The `--eco` replay pass: applies the edits in file order against the
-/// outcomes of the initial routing pass, chaining per net so staleness
-/// grows with each edit, and appends the ECO section to the output.
+/// The `--eco` pass: applies the edits in file order, chaining per net
+/// (each edit mutates the net as the previous edit left it), routes each
+/// edited net, and appends the ECO section to the output.
 fn render_eco(
     out: &mut String,
     nets: &[Net],
-    outcomes: &[RouteOutcome],
     engine: &Engine,
     options: &RouteOptions,
 ) -> Result<(), CliError> {
     let mut current: Vec<Net> = nets.to_vec();
-    let mut last: Vec<RouteOutcome> = outcomes.to_vec();
     let mut summary = ProvenanceSummary::default();
     out.push_str(&format!("eco: {} edits\n", options.eco.len()));
     for (e, edit) in options.eco.iter().enumerate() {
@@ -512,7 +497,7 @@ fn render_eco(
         }
         let delta = NetDelta::new(current[edit.net].clone(), edit.kind);
         let outcome = engine
-            .reroute(&last[edit.net], &delta, Session::default())
+            .reroute_with_staleness(&delta, 0, &Session::default())
             .map_err(|source| CliError::Route { net: edit.net, source })?;
         current[edit.net] = delta.apply();
         summary.record(&outcome.provenance);
@@ -526,7 +511,6 @@ fn render_eco(
         for (cost, _) in outcome.frontier.iter() {
             out.push_str(&format!("  w={} d={}\n", cost.wirelength, cost.delay));
         }
-        last[edit.net] = outcome;
     }
     out.push_str(&format!(
         "eco provenance: {summary} ({} edits)\n",
@@ -984,17 +968,15 @@ Net list: one net per line, `x,y` pins separated by spaces, source first;
 
 `route --threads T` routes through the work-stealing batch driver
 (results identical to serial) and appends a scaling report: per-worker
-utilization, steal counts and cache lock contention. `route --json`
+utilization and steal counts. `route --json`
 emits one wire-protocol reply object per net (NDJSON), byte-compatible
 with the `serve` daemon's responses.
 
-`route --eco EDITS.txt` replays incremental edits after the base route:
+`route --eco EDITS.txt` applies incremental edits after the base route:
 one edit per line, `<net-index> <kind> <args>` where kind is one of
 `translate dx,dy`, `move-pin IDX x,y`, `add-sink x,y`,
-`remove-sink IDX`, `blockage x0,y0 x1,y1` (`#` comments). Each edit
-reroutes through the delta API — class-preserving edits replay the
-cached winners (provenance `reused`), class-breaking edits fall back
-to the full ladder.
+`remove-sink IDX`, `blockage x0,y0 x1,y1` (`#` comments). Edits chain
+per net, and each edited net is routed through the full ladder.
 
 `serve` runs the routing daemon: a length-prefixed JSON socket protocol
 with request coalescing and admission control, plus an HTTP adapter
@@ -1340,18 +1322,18 @@ mod tests {
         assert!(out.contains("pick (budget 19): w=26 d=18"));
         assert!(out.contains(" -- "));
         assert!(out.contains(
-            "provenance: closed-form 0, cache-hit 0, exact-lut 1, numeric-dw 0, local-search 0, baseline 0, reused 0 (1 nets)"
+            "provenance: closed-form 0, exact-lut 1, numeric-dw 0, local-search 0, baseline 0 (1 nets)"
         ));
     }
 
     #[test]
-    fn route_command_provenance_counts_cache_hits() {
-        // The same congruence class twice: second net must hit the cache.
+    fn route_command_answers_congruent_nets_alike() {
+        // The same congruence class twice: both nets are full LUT queries.
         let nets = parse_nets("0,0 7,2 3,9\n100,50 107,52 103,59\n").unwrap();
         let out = route_command(&nets, &RouteOptions::default()).unwrap();
         assert!(out.contains("net 0 (degree 3): 1 Pareto solutions via exact-lut"));
-        assert!(out.contains("net 1 (degree 3): 1 Pareto solutions via cache-hit"));
-        assert!(out.contains("cache-hit 1, exact-lut 1"));
+        assert!(out.contains("net 1 (degree 3): 1 Pareto solutions via exact-lut"));
+        assert!(out.contains("closed-form 0, exact-lut 2,"));
     }
 
     #[test]
@@ -1409,11 +1391,10 @@ mod tests {
     }
 
     #[test]
-    fn route_eco_replays_class_preserving_edits() {
-        // A translate preserves the congruence class exactly, so the
-        // edit must answer from winner-id replay (`via reused`) — and a
-        // second translate of the same net chains to staleness 2
-        // without changing the provenance label.
+    fn route_eco_routes_each_chained_edit() {
+        // Two translates of the same net chain; each edited net is routed
+        // through the ladder like any other net, so a translate (which
+        // preserves the congruence class) answers exactly like the base.
         let nets = parse_nets("19,2 8,4 4,3 5,4\n").unwrap();
         let options = RouteOptions {
             eco: parse_edits("0 translate 5,-2\n0 translate 1,1\n").unwrap(),
@@ -1421,13 +1402,21 @@ mod tests {
         };
         let out = route_command(&nets, &options).unwrap();
         assert!(out.contains("eco: 2 edits"), "missing eco header:\n{out}");
-        assert!(
-            out.contains("edit 0: net 0 translate: ")
-                && out.contains("via reused"),
-            "translate should replay:\n{out}"
-        );
+        // "net 0 (degree 4): N Pareto solutions via exact-lut" + N costs.
+        let mut lines = out.lines();
+        let answer = lines.next().unwrap().split_once("): ").unwrap().1;
+        assert!(answer.ends_with("via exact-lut"), "{out}");
+        let n: usize = answer.split(' ').next().unwrap().parse().unwrap();
+        let costs: Vec<&str> = lines.take(n).collect();
+        for e in 0..2 {
+            let header = format!("edit {e}: net 0 translate: {answer}");
+            let at = out.find(&header).unwrap_or_else(|| panic!("missing {header}:\n{out}"));
+            let edited: Vec<&str> = out[at..].lines().skip(1).take(n).collect();
+            assert_eq!(edited, costs, "{out}");
+        }
         assert!(out.contains("eco provenance: "));
-        assert!(out.contains("reused 2 (2 edits)"), "both edits replay:\n{out}");
+        assert!(out.contains("exact-lut 2,"), "both edits query the LUT:\n{out}");
+        assert!(out.contains("(2 edits)"));
     }
 
     #[test]
@@ -1478,7 +1467,8 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("eco: 1 edits"));
-        assert!(out.contains("via reused"));
+        assert!(out.contains("edit 0: net 0 translate: "));
+        assert!(out.contains("(1 edits)"));
         std::fs::remove_file(&nets_file).ok();
         std::fs::remove_file(&edits_file).ok();
     }
@@ -1498,12 +1488,16 @@ mod tests {
             },
         )
         .unwrap();
-        // Identical per-net output, then the scaling report on top.
-        assert!(parallel.starts_with(&serial[..serial.find("provenance").unwrap()]));
-        assert!(parallel.contains("batch: "));
-        assert!(parallel.contains("worker 0:"));
-        assert!(parallel.contains("cache: "));
-        assert!(parallel.contains("hit rate"));
+        // Every net's whole output — frontier, witness picks and
+        // provenance — is identical, as is the provenance summary; the
+        // parallel run only appends the scaling report.
+        let (per_net, report) = parallel.split_at(serial.len());
+        for (i, (s, p)) in serial.lines().zip(per_net.lines()).enumerate() {
+            assert_eq!(s, p, "line {i} differs between serial and --threads 3");
+        }
+        assert_eq!(per_net, serial);
+        assert!(report.starts_with("batch: "), "{report}");
+        assert!(report.contains("worker 0:"));
         assert!(!serial.contains("batch: "));
     }
 

@@ -477,9 +477,9 @@ impl Engine {
     ///
     /// `threads` is clamped to at least 1 (a zero request degrades to
     /// serial routing instead of panicking). Results are in input order
-    /// and bit-identical to calling [`Engine::route`] per net (routing
-    /// is deterministic, with or without the frontier cache, at every
-    /// thread count, steals included).
+    /// and identical — provenance included — to calling
+    /// [`Engine::route`] per net, at every thread count and under every
+    /// steal schedule.
     ///
     /// Each slot is that net's own [`RouteResult`]: a net the tables
     /// cannot serve yields `Err` in its slot without poisoning the rest
@@ -536,9 +536,8 @@ impl Engine {
 
     /// Reroutes a batch of edits over the same work-stealing driver as
     /// [`Engine::route_batch_sessions`]. Results are in input order, one
-    /// slot per job; class-preserving edits replay from the frontier
-    /// cache (provenance [`crate::RouteSource::Reused`]) and everything
-    /// else falls through the ordinary ladder. The serve layer coalesces
+    /// slot per job, each the route of its edited net (see
+    /// [`Engine::reroute_with_staleness`]). The serve layer coalesces
     /// `reroute` wire requests into the same accumulation windows as
     /// fresh routes and closes mixed windows into this call.
     pub fn route_batch_deltas(
@@ -592,29 +591,15 @@ impl Engine {
 
     /// [`Engine::route_batch`] plus the batch-level
     /// [`ResilienceReport`] aggregating every slot's ladder activity
-    /// (what served, what degraded, what panicked, what hit deadlines)
-    /// and the frontier cache's health (bypass state and lock
-    /// contention).
+    /// (what served, what degraded, what panicked, what hit deadlines).
     pub fn route_batch_with_report(
         &self,
         nets: &[Net],
         threads: usize,
     ) -> (Vec<RouteResult>, ResilienceReport) {
         let results = self.route_batch(nets, threads);
-        let report = self.stamp_report_cache_health(ResilienceReport::from_results(&results));
+        let report = ResilienceReport::from_results(&results);
         (results, report)
-    }
-
-    /// Folds the frontier cache's health counters into a report built
-    /// from batch results (the serve layer calls this on its own
-    /// accumulated report at shutdown).
-    pub fn stamp_report_cache_health(&self, mut report: ResilienceReport) -> ResilienceReport {
-        if let Some(stats) = self.cache_stats() {
-            report.cache_bypassed = stats.bypassed;
-            report.cache_contended_reads = stats.contended_reads;
-            report.cache_contended_writes = stats.contended_writes;
-        }
-        report
     }
 }
 
@@ -623,9 +608,9 @@ impl PatLabor {
     ///
     /// `threads` is clamped to at least 1 (a zero request degrades to
     /// serial routing instead of panicking). Results are in input order
-    /// and bit-identical to calling [`PatLabor::route`] per net (routing
-    /// is deterministic, with or without the frontier cache, at every
-    /// thread count, steals included).
+    /// and identical — provenance included — to calling
+    /// [`PatLabor::route`] per net, at every thread count and under every
+    /// steal schedule.
     ///
     /// Each slot is that net's own [`RouteResult`]: a net the tables
     /// cannot serve yields `Err` in its slot without poisoning the rest
@@ -650,9 +635,7 @@ impl PatLabor {
 
     /// [`PatLabor::route_batch`] plus the batch-level
     /// [`ResilienceReport`] aggregating every slot's ladder activity
-    /// (what served, what degraded, what panicked, what hit deadlines)
-    /// and the frontier cache's health (bypass state and lock
-    /// contention).
+    /// (what served, what degraded, what panicked, what hit deadlines).
     pub fn route_batch_with_report(
         &self,
         nets: &[Net],
@@ -680,21 +663,6 @@ mod tests {
     use super::*;
     use crate::pipeline::RouteError;
     use crate::RouterConfig;
-    use patlabor_pareto::ParetoSet;
-    use patlabor_tree::RoutingTree;
-
-    /// The frontiers of a batch result, panicking on any per-net error.
-    ///
-    /// Comparisons use frontiers rather than whole outcomes: provenance
-    /// legitimately differs between runs (a serial pass warms the shared
-    /// cache, turning the batch pass's `ExactLut` answers into
-    /// `CacheHit`s) while the frontiers stay bit-identical.
-    fn frontiers(results: Vec<RouteResult>) -> Vec<ParetoSet<RoutingTree>> {
-        results
-            .into_iter()
-            .map(|r| r.expect("batch net failed").frontier)
-            .collect()
-    }
 
     #[test]
     fn deque_pop_and_steal_partition_the_interval() {
@@ -754,17 +722,14 @@ mod tests {
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0xba7c4, 24, 12);
-        let sequential: Vec<_> = nets
-            .iter()
-            .map(|n| router.route(n).expect("serial net failed").frontier)
-            .collect();
+        let sequential: Vec<_> = nets.iter().map(|n| router.route(n)).collect();
         for threads in [1, 2, 4, 7] {
-            let batch = frontiers(router.route_batch(&nets, threads));
+            let batch = router.route_batch(&nets, threads);
             assert_eq!(batch, sequential, "threads = {threads}");
         }
     }
 
-    /// Satellite: the determinism matrix. Bit-identical frontiers at
+    /// The determinism matrix: bit-identical outcomes at
     /// thread counts {1, 2, 4, N, N+3} (N = hardware threads) under work
     /// stealing, with a chunk size small enough that steals actually
     /// happen when the counts exceed the initial partition's balance.
@@ -777,13 +742,10 @@ mod tests {
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0xde7e2, 60, 10);
-        let sequential: Vec<_> = nets
-            .iter()
-            .map(|n| router.route(n).expect("serial net failed").frontier)
-            .collect();
+        let sequential: Vec<_> = nets.iter().map(|n| router.route(n)).collect();
         for threads in [1, 2, 4, hardware, hardware + 3] {
             let (results, stats) = router.route_batch_with_stats(&nets, threads);
-            assert_eq!(frontiers(results), sequential, "threads = {threads}");
+            assert_eq!(results, sequential, "threads = {threads}");
             assert_eq!(stats.workers, threads.min(nets.len()).max(1));
             let routed: u64 = stats.per_worker.iter().map(|w| w.nets).sum();
             assert_eq!(routed as usize, nets.len(), "threads = {threads}");
@@ -816,9 +778,6 @@ mod tests {
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0x21, 5, 8);
-        // Second route of the same nets hits the warm cache, so both
-        // passes see identical provenance too — whole outcomes compare.
-        let _warmup = router.route_batch(&nets, 1);
         let serial: Vec<_> = nets.iter().map(|n| router.route(n)).collect();
         assert_eq!(router.route_batch(&nets, 0), serial);
         assert!(router.route_batch(&[], 0).is_empty());
@@ -831,13 +790,10 @@ mod tests {
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0x77, 10, 10);
-        let serial: Vec<_> = nets
-            .iter()
-            .map(|n| router.route(n).expect("serial net failed").frontier)
-            .collect();
-        assert_eq!(frontiers(router.route_batch_auto(&nets)), serial);
+        let serial: Vec<_> = nets.iter().map(|n| router.route(n)).collect();
+        assert_eq!(router.route_batch_auto(&nets), serial);
         let nz = NonZeroUsize::new(3).expect("non-zero");
-        assert_eq!(frontiers(router.route_batch_threads(&nets, nz)), serial);
+        assert_eq!(router.route_batch_threads(&nets, nz), serial);
     }
 
     #[test]
@@ -847,11 +803,8 @@ mod tests {
             ..RouterConfig::default()
         });
         let nets = patlabor_netgen::iccad_like_suite(0x5e5e, 3, 6);
-        let serial: Vec<_> = nets
-            .iter()
-            .map(|n| router.route(n).expect("serial net failed").frontier)
-            .collect();
-        assert_eq!(frontiers(router.route_batch(&nets, 64)), serial);
+        let serial: Vec<_> = nets.iter().map(|n| router.route(n)).collect();
+        assert_eq!(router.route_batch(&nets, 64), serial);
     }
 
     /// Regression for the mid-batch panic leak: every `RouteResult` slot
@@ -1053,15 +1006,7 @@ mod tests {
 
             // The aggregate report sees the same picture.
             let (reported, report) = faulty.route_batch_with_report(&nets, threads);
-            assert_eq!(
-                ResilienceReport {
-                    cache_bypassed: report.cache_bypassed,
-                    cache_contended_reads: report.cache_contended_reads,
-                    cache_contended_writes: report.cache_contended_writes,
-                    ..ResilienceReport::from_results(&reported)
-                },
-                report
-            );
+            assert_eq!(ResilienceReport::from_results(&reported), report);
             assert_eq!(report.nets as usize, nets.len());
             assert_eq!(report.served + report.errors, report.nets);
             assert_eq!(report.errors, report.panicked);

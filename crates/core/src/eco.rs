@@ -1,21 +1,13 @@
-//! Incremental (ECO) rerouting: net deltas and replay reuse.
+//! Incremental (ECO) rerouting: net deltas.
 //!
 //! Production routing traffic is not i.i.d. fresh nets — it is small
 //! edits to placed designs: a pin nudged by legalization, a sink added
-//! by buffering, a blockage dropped over a macro. The congruence-class
-//! machinery makes many of those edits nearly free to answer: both
-//! objectives are invariant under translation and the D4 symmetries, so
-//! an edit that preserves the net's `(canonical pattern key, canonical
-//! gap vector)` class leaves the *winning topology ids* of the previous
-//! route exactly correct for the new geometry. [`crate::Engine::reroute`]
-//! exploits that: it classifies the mutated net and, when the class is
-//! unchanged and the winners are resident in the frontier cache, replays
-//! them against the new pins without touching the LUT's candidate pool —
-//! provenance [`crate::RouteSource::Reused`], `candidates_scored == 0`.
-//!
-//! This module owns the delta vocabulary ([`NetDelta`], [`DeltaKind`]),
-//! the batch-driver job type ([`DeltaJob`]) and the staleness policy
-//! ([`EcoConfig`]); the replay fast path itself lives on the engine
+//! by buffering, a blockage dropped over a macro. This module owns the
+//! delta vocabulary ([`NetDelta`], [`DeltaKind`]) and the batch-driver
+//! job type ([`DeltaJob`]). [`crate::Engine::reroute_with_staleness`]
+//! answers an edit by routing the edited net through the ordinary
+//! ladder: a LUT query costs no more than replaying a prior route's
+//! winners would, so the engine keeps no per-class state to replay from
 //! (DESIGN.md §16).
 //!
 //! # Totality
@@ -157,31 +149,14 @@ fn project_to_boundary(p: Point, x0: i64, x1: i64, y0: i64, y1: i64) -> Point {
     }
 }
 
-/// Staleness policy for replay reuse, part of [`crate::RouterConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EcoConfig {
-    /// Most consecutive edits a net may be served from replay before a
-    /// fresh route is forced. Replay is exact (the winner set is a pure
-    /// function of the unchanged congruence class), so this is a policy
-    /// bound on provenance-chain length, not a correctness knob: a fresh
-    /// route re-anchors the lineage and resets the edit counter.
-    pub staleness_cap: u32,
-}
-
-impl Default for EcoConfig {
-    fn default() -> Self {
-        EcoConfig { staleness_cap: 32 }
-    }
-}
-
 /// One slot of a delta batch ([`crate::Engine::route_batch_deltas`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaJob {
     /// The edit to apply and route.
     pub delta: NetDelta,
-    /// Edits already served from replay for this net's lineage (what a
-    /// prior outcome's `Reused { staleness }` reported; 0 after a fresh
-    /// route).
+    /// Edits already applied to this net's lineage since its last full
+    /// route. Accepted for API and wire compatibility; routing does not
+    /// read it.
     pub prior_edits: u32,
     /// The per-request session (deadline, identity, fault seed).
     pub session: Session,
@@ -270,10 +245,8 @@ mod tests {
         assert_eq!(d.apply().source(), Point::new(0, 5));
     }
 
-    use crate::cache::CacheKey;
     use crate::engine::{Engine, Session};
-    use crate::pipeline::RouteSource;
-    use crate::{LutBuilder, RouterConfig};
+    use crate::LutBuilder;
 
     fn engine4() -> Engine {
         Engine::with_table(LutBuilder::new(4).threads(2).build())
@@ -307,128 +280,39 @@ mod tests {
         }
     }
 
-    /// Whether an edit preserved the congruence class, computed
-    /// independently of the reroute path: both nets must classify and
-    /// canonicalize to the same cache key.
-    fn class_preserved(engine: &Engine, base: &Net, mutated: &Net) -> bool {
-        if base.degree() != mutated.degree() {
-            return false;
-        }
-        match (engine.table().classify(base), engine.table().classify(mutated)) {
-            (Some(a), Some(b)) => CacheKey::from_class(&a) == CacheKey::from_class(&b),
-            _ => false,
-        }
-    }
-
-    /// Satellite property test: across every [`DeltaKind`], an edit that
-    /// preserves the congruence class is served from replay (provenance
-    /// `Reused`, zero LUT candidates scored) and an edit that breaks it
-    /// is never labeled `Reused` — while the frontier always equals
-    /// routing the mutated net from scratch.
+    /// Across every [`DeltaKind`], a reroute is exactly a route of the
+    /// edited net — frontier, witness trees and provenance — whatever
+    /// lineage length the caller reports.
     #[test]
-    fn every_delta_kind_replays_iff_the_class_is_preserved() {
+    fn every_delta_kind_reroutes_like_a_fresh_route_of_the_edited_net() {
         let engine = engine4();
-        let scratch = engine4(); // independent tables ⇒ independent cache
         let nets: Vec<Net> = patlabor_netgen::iccad_like_suite(0xec0, 60, 4)
             .into_iter()
             .filter(|n| (3..=4).contains(&n.degree()))
             .collect();
         assert!(nets.len() >= 20, "suite must supply tabulated nets");
         let mut seed = 0x05ee_dec0_u64;
-        let mut replayed = 0usize;
-        let mut broken = 0usize;
         let mut seen_kinds = std::collections::HashSet::new();
         for (i, net) in nets.iter().enumerate() {
-            // Warm the winners for this net's class.
-            engine.route(net).expect("base route");
             let kind = random_kind(&mut seed, net.degree());
             seen_kinds.insert(kind.label());
             let delta = NetDelta::new(net.clone(), kind);
-            let mutated = delta.apply();
-            let preserved = class_preserved(&engine, net, &mutated);
-            let out = engine
-                .reroute_with_staleness(&delta, 0, &Session::new(i as u64))
-                .expect("reroute");
-            let fresh = scratch.route(&mutated).expect("scratch route");
-            assert_eq!(
-                out.frontier.cost_vec(),
-                fresh.frontier.cost_vec(),
-                "net {i} ({}): reroute must equal a scratch route",
-                kind.label()
-            );
-            if preserved {
+            let session = Session::new(i as u64);
+            let fresh = engine.route_session(&delta.apply(), &session);
+            for prior_edits in [0, 7, u32::MAX] {
                 assert_eq!(
-                    out.provenance.source,
-                    RouteSource::Reused { staleness: 1 },
-                    "net {i} ({}): class-preserving edits replay",
+                    engine.reroute_with_staleness(&delta, prior_edits, &session),
+                    fresh,
+                    "net {i} ({}), prior_edits {prior_edits}",
                     kind.label()
                 );
-                assert_eq!(
-                    out.provenance.counters.candidates_scored, 0,
-                    "replay must not score LUT candidates"
-                );
-                replayed += 1;
-            } else {
-                assert!(
-                    !matches!(out.provenance.source, RouteSource::Reused { .. }),
-                    "net {i} ({}): class-breaking edits must not claim reuse",
-                    kind.label()
-                );
-                broken += 1;
             }
         }
         assert_eq!(seen_kinds.len(), 5, "all delta kinds must be exercised");
-        assert!(replayed > 0, "some edits must preserve the class (translate always does)");
-        assert!(broken > 0, "some edits must break the class");
     }
 
-    /// Satellite: edit N+1 past the staleness cap forces a fresh route
-    /// (provenance no longer `Reused`), which resets the counter — the
-    /// next edit replays at staleness 1 again.
-    #[test]
-    fn staleness_cap_forces_a_fresh_route_and_resets_the_counter() {
-        let cap = 3u32;
-        let engine = Engine::with_table_and_config(
-            LutBuilder::new(4).threads(2).build(),
-            RouterConfig {
-                eco: EcoConfig { staleness_cap: cap },
-                ..RouterConfig::default()
-            },
-        );
-        let mut current = Net::new(vec![
-            Point::new(0, 0),
-            Point::new(9, 2),
-            Point::new(3, 7),
-            Point::new(6, 5),
-        ])
-        .expect("valid net");
-        let mut prev = engine.route(&current).expect("base route");
-        assert_eq!(prev.provenance.source, RouteSource::ExactLut);
-        // Edits 1..=cap are served from replay with a growing counter.
-        for edit in 1..=cap {
-            let delta = NetDelta::new(current.clone(), DeltaKind::Translate { dx: 2, dy: 1 });
-            current = delta.apply();
-            prev = engine.reroute(&prev, &delta, Session::default()).expect("reroute");
-            assert_eq!(prev.provenance.source, RouteSource::Reused { staleness: edit });
-        }
-        // Edit cap+1 busts the cap: a fresh ladder route answers (for a
-        // translate, the warm cache serves it — but NOT as `Reused`).
-        let delta = NetDelta::new(current.clone(), DeltaKind::Translate { dx: 2, dy: 1 });
-        current = delta.apply();
-        prev = engine.reroute(&prev, &delta, Session::default()).expect("reroute");
-        assert_eq!(
-            prev.provenance.source,
-            RouteSource::CacheHit,
-            "edit cap+1 must route through the ladder, not replay"
-        );
-        // The fresh route re-anchored the lineage: the counter restarts.
-        let delta = NetDelta::new(current.clone(), DeltaKind::Translate { dx: 2, dy: 1 });
-        prev = engine.reroute(&prev, &delta, Session::default()).expect("reroute");
-        assert_eq!(prev.provenance.source, RouteSource::Reused { staleness: 1 });
-    }
-
-    /// Batch deltas: input order, replay where possible, bit-identical
-    /// to serial reroutes at 1 and N threads.
+    /// Batch deltas: input order, bit-identical to serial reroutes —
+    /// provenance included — at 1 and N threads.
     #[test]
     fn route_batch_deltas_matches_serial_at_every_thread_count() {
         let engine = engine4();
@@ -436,9 +320,6 @@ mod tests {
             .into_iter()
             .filter(|n| (3..=4).contains(&n.degree()))
             .collect();
-        for net in &nets {
-            engine.route(net).expect("warm route");
-        }
         let mut seed = 0xfeed_u64;
         let jobs: Vec<DeltaJob> = nets
             .iter()
@@ -451,22 +332,13 @@ mod tests {
             .collect();
         let serial: Vec<_> = jobs
             .iter()
-            .map(|j| {
-                engine
-                    .reroute_with_staleness(&j.delta, j.prior_edits, &j.session)
-                    .expect("serial reroute")
-                    .frontier
-            })
+            .map(|j| engine.reroute_with_staleness(&j.delta, j.prior_edits, &j.session))
             .collect();
         for threads in [1usize, 4] {
             let (results, stats) = engine.route_batch_deltas(&jobs, threads);
             assert_eq!(results.len(), jobs.len());
             for (i, result) in results.into_iter().enumerate() {
-                assert_eq!(
-                    result.expect("batch reroute").frontier,
-                    serial[i],
-                    "threads = {threads}, job {i}"
-                );
+                assert_eq!(result, serial[i], "threads = {threads}, job {i}");
             }
             assert_eq!(
                 stats.per_worker.iter().map(|w| w.nets).sum::<u64>() as usize,

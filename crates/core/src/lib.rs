@@ -47,7 +47,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod batch;
-pub mod cache;
 pub mod eco;
 mod engine;
 pub mod pad;
@@ -59,9 +58,8 @@ pub mod resilience;
 mod router;
 
 pub use batch::{BatchConfig, BatchStats, WorkerStats};
-pub use eco::{DeltaJob, DeltaKind, EcoConfig, NetDelta};
+pub use eco::{DeltaJob, DeltaKind, NetDelta};
 pub use engine::{Engine, ReloadError, Session};
-pub use cache::{CacheConfig, CacheStats, ShardStats};
 pub use pad::CachePadded;
 pub use pipeline::{
     ProvenanceSummary, RouteError, RouteOutcome, RouteProvenance, RouteResult, RouteSource,

@@ -1,8 +1,7 @@
 //! Cache-line padding for hot shared words.
 //!
-//! The batch driver's per-worker deque cursors and the frontier cache's
-//! per-shard locks and counters are written concurrently from many
-//! cores. Without padding, unrelated control words land on the same
+//! The batch driver's per-worker deque cursors are written concurrently
+//! from many cores. Without padding, unrelated control words land on the same
 //! 64-byte line and every write invalidates every other core's copy —
 //! false sharing that turns "contention-free by design" into a coherence
 //! storm. [`CachePadded`] aligns (and therefore sizes) its contents to
@@ -14,8 +13,7 @@
 /// Aligns `T` to 128 bytes so no two padded values share a cache-line
 /// pair. The price is memory (a padded `AtomicU64` occupies 128 bytes);
 /// pay it only for words that are genuinely write-hot from multiple
-/// threads — per-worker cursors, per-shard locks and counters — never
-/// for bulk data.
+/// threads — per-worker cursors — never for bulk data.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct CachePadded<T>(pub T);

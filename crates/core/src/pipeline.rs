@@ -8,11 +8,6 @@
 //!            └───────────┘                 └──────────────┘
 //!                  │ degree ≤ λ (NetClass)
 //!                  ▼
-//!            ┌─────────────┐    hit   ┌─────────────┐
-//!            │ CacheLookup │ ───────▶ │ Materialize │ ──▶ RouteOutcome
-//!            └─────────────┘          └─────────────┘
-//!                  │ miss
-//!                  ▼
 //!            ┌──────────┐
 //!            │ LutQuery │ ──▶ Materialize (survivors only) ──▶ RouteOutcome
 //!            └──────────┘
@@ -32,16 +27,14 @@ use crate::resilience::DegradationTrace;
 
 /// The stages of the routing pipeline, in execution order.
 ///
-/// `Classify` gates every net; exactly one of `CacheLookup`+`LutQuery`
-/// (tabulated degrees) or `LocalSearch` (above λ) produces topologies; and
+/// `Classify` gates every net; exactly one of `LutQuery` (tabulated
+/// degrees) or `LocalSearch` (above λ) produces topologies; and
 /// `Materialize` turns them into witness [`RoutingTree`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteStage {
     /// Canonicalize the net into a [`patlabor_geom::NetClass`] and pick
     /// its serving path.
     Classify,
-    /// Probe the frontier cache for the class's winning topology ids.
-    CacheLookup,
     /// Score the stored candidate topologies by dot product and prune.
     LutQuery,
     /// Policy-guided local search for degrees above λ.
@@ -55,25 +48,16 @@ pub enum RouteStage {
 pub enum RouteSource {
     /// Degree-2 closed form: the direct source→sink tree, no table.
     ClosedForm,
-    /// Winning ids replayed from the frontier cache.
-    CacheHit,
     /// Full lookup-table query (score every candidate, prune, keep
     /// survivors).
     ExactLut,
     /// Fresh numeric Pareto-DW enumeration — the degradation ladder's
-    /// exact fallback when the cache and LUT rungs cannot serve.
+    /// exact fallback when the LUT rung cannot serve.
     NumericDw,
     /// Local-search approximation for degree > λ.
     LocalSearch,
     /// Baseline heuristic sweep — the ladder's approximate last resort.
     Baseline,
-    /// ECO replay: a prior route's winning ids re-evaluated against the
-    /// edited geometry because the edit preserved the congruence class.
-    /// `staleness` counts edits since the last full route.
-    Reused {
-        /// Edits applied since the net was last routed from scratch.
-        staleness: u32,
-    },
 }
 
 impl RouteSource {
@@ -81,12 +65,10 @@ impl RouteSource {
     pub fn label(self) -> &'static str {
         match self {
             RouteSource::ClosedForm => "closed-form",
-            RouteSource::CacheHit => "cache-hit",
             RouteSource::ExactLut => "exact-lut",
             RouteSource::NumericDw => "numeric-dw",
             RouteSource::LocalSearch => "local-search",
             RouteSource::Baseline => "baseline",
-            RouteSource::Reused { .. } => "reused",
         }
     }
 
@@ -109,10 +91,6 @@ impl fmt::Display for RouteSource {
 /// `local_search_rounds` on a tabulated net).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageCounters {
-    /// Frontier-cache probes (0 with the cache disabled, else 1).
-    pub cache_probes: u32,
-    /// Probes answered from the cache (0 or 1).
-    pub cache_hits: u32,
     /// Candidate topologies scored by the LutQuery stage.
     pub candidates_scored: u32,
     /// Witness trees built by the Materialize stage.
@@ -243,8 +221,6 @@ pub type RouteResult = Result<RouteOutcome, RouteError>;
 pub struct ProvenanceSummary {
     /// Nets answered by the degree-2 closed form.
     pub closed_form: u64,
-    /// Nets answered from the frontier cache.
-    pub cache_hits: u64,
     /// Nets answered by a full lookup-table query.
     pub exact_lut: u64,
     /// Nets answered by the numeric-DW fallback rung.
@@ -253,8 +229,6 @@ pub struct ProvenanceSummary {
     pub local_search: u64,
     /// Nets answered by the baseline fallback rung.
     pub baseline: u64,
-    /// Nets answered by ECO replay of a prior route's winners.
-    pub reused: u64,
 }
 
 impl ProvenanceSummary {
@@ -262,24 +236,16 @@ impl ProvenanceSummary {
     pub fn record(&mut self, provenance: &RouteProvenance) {
         match provenance.source {
             RouteSource::ClosedForm => self.closed_form += 1,
-            RouteSource::CacheHit => self.cache_hits += 1,
             RouteSource::ExactLut => self.exact_lut += 1,
             RouteSource::NumericDw => self.numeric_dw += 1,
             RouteSource::LocalSearch => self.local_search += 1,
             RouteSource::Baseline => self.baseline += 1,
-            RouteSource::Reused { .. } => self.reused += 1,
         }
     }
 
     /// Total nets recorded.
     pub fn total(&self) -> u64 {
-        self.closed_form
-            + self.cache_hits
-            + self.exact_lut
-            + self.numeric_dw
-            + self.local_search
-            + self.baseline
-            + self.reused
+        self.closed_form + self.exact_lut + self.numeric_dw + self.local_search + self.baseline
     }
 }
 
@@ -287,15 +253,8 @@ impl fmt::Display for ProvenanceSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "closed-form {}, cache-hit {}, exact-lut {}, numeric-dw {}, \
-             local-search {}, baseline {}, reused {}",
-            self.closed_form,
-            self.cache_hits,
-            self.exact_lut,
-            self.numeric_dw,
-            self.local_search,
-            self.baseline,
-            self.reused
+            "closed-form {}, exact-lut {}, numeric-dw {}, local-search {}, baseline {}",
+            self.closed_form, self.exact_lut, self.numeric_dw, self.local_search, self.baseline
         )
     }
 }
@@ -308,15 +267,13 @@ mod tests {
 
     #[test]
     fn source_labels_and_exactness() {
-        assert_eq!(RouteSource::CacheHit.label(), "cache-hit");
+        assert_eq!(RouteSource::ExactLut.label(), "exact-lut");
         assert_eq!(RouteSource::LocalSearch.to_string(), "local-search");
         assert_eq!(RouteSource::NumericDw.label(), "numeric-dw");
         assert_eq!(RouteSource::Baseline.label(), "baseline");
-        assert_eq!(RouteSource::Reused { staleness: 3 }.label(), "reused");
         assert!(RouteSource::ExactLut.is_exact());
         assert!(RouteSource::ClosedForm.is_exact());
         assert!(RouteSource::NumericDw.is_exact());
-        assert!(RouteSource::Reused { staleness: 1 }.is_exact());
         assert!(!RouteSource::LocalSearch.is_exact());
         assert!(!RouteSource::Baseline.is_exact());
     }
@@ -349,24 +306,19 @@ mod tests {
             counters: StageCounters::default(),
             trace: DegradationTrace::default(),
         };
-        s.record(&p(RouteSource::CacheHit));
-        s.record(&p(RouteSource::CacheHit));
+        s.record(&p(RouteSource::ExactLut));
         s.record(&p(RouteSource::ExactLut));
         s.record(&p(RouteSource::LocalSearch));
         s.record(&p(RouteSource::ClosedForm));
         s.record(&p(RouteSource::NumericDw));
         s.record(&p(RouteSource::Baseline));
-        s.record(&p(RouteSource::Reused { staleness: 2 }));
-        assert_eq!(s.total(), 8);
-        assert_eq!(s.cache_hits, 2);
+        assert_eq!(s.total(), 6);
+        assert_eq!(s.exact_lut, 2);
         assert_eq!(s.numeric_dw, 1);
         assert_eq!(s.baseline, 1);
-        assert_eq!(s.reused, 1);
         let line = s.to_string();
-        assert!(line.contains("cache-hit 2"));
-        assert!(line.contains("exact-lut 1"));
+        assert!(line.contains("exact-lut 2"));
         assert!(line.contains("numeric-dw 1"));
         assert!(line.contains("baseline 1"));
-        assert!(line.contains("reused 1"));
     }
 }

@@ -6,8 +6,8 @@
 //! of erroring, [`crate::PatLabor::route`] walks a **degradation ladder**
 //!
 //! ```text
-//! cache → LUT query → numeric DW → baseline      (degree ≤ λ)
-//!         local search → baseline                (degree > λ)
+//! LUT query → numeric DW → baseline      (degree ≤ λ)
+//! local search → baseline                (degree > λ)
 //! ```
 //!
 //! where every failed, faulted or budget-expired rung falls through to
@@ -394,8 +394,6 @@ fn unit_hash(x: u64) -> f64 {
 pub enum Rung {
     /// Degree-2 closed form (infallible; not a fault site).
     ClosedForm,
-    /// Frontier-cache replay of winning topology ids.
-    Cache,
     /// LUT dot-product query + survivor materialization (the primary
     /// rung for degrees `3..=λ`).
     Lut,
@@ -411,9 +409,8 @@ pub enum Rung {
 
 impl Rung {
     /// Every rung, in ladder order.
-    pub const ALL: [Rung; 6] = [
+    pub const ALL: [Rung; 5] = [
         Rung::ClosedForm,
-        Rung::Cache,
         Rung::Lut,
         Rung::NumericDw,
         Rung::LocalSearch,
@@ -427,11 +424,10 @@ impl Rung {
     pub fn index(self) -> usize {
         match self {
             Rung::ClosedForm => 0,
-            Rung::Cache => 1,
-            Rung::Lut => 2,
-            Rung::NumericDw => 3,
-            Rung::LocalSearch => 4,
-            Rung::Baseline => 5,
+            Rung::Lut => 1,
+            Rung::NumericDw => 2,
+            Rung::LocalSearch => 3,
+            Rung::Baseline => 4,
         }
     }
 
@@ -439,7 +435,6 @@ impl Rung {
     pub fn label(self) -> &'static str {
         match self {
             Rung::ClosedForm => "closed-form",
-            Rung::Cache => "cache",
             Rung::Lut => "lut",
             Rung::NumericDw => "numeric-dw",
             Rung::LocalSearch => "local-search",
@@ -453,8 +448,8 @@ impl Rung {
     }
 
     /// Whether the per-net deadline gates this rung. Only the compute
-    /// rungs are gated; the cache probe is nearly free and the baseline
-    /// is the deliberately cheap last resort, so an expired budget still
+    /// rungs are gated; the baseline is the deliberately cheap last
+    /// resort, so an expired budget still
     /// yields *some* tree instead of nothing.
     pub fn deadline_gated(self) -> bool {
         matches!(self, Rung::Lut | Rung::NumericDw | Rung::LocalSearch)
@@ -526,8 +521,7 @@ const TRACE_FILLER: RungAttempt = RungAttempt {
 /// [`crate::RouteProvenance`] (fixed-size so provenance stays `Copy`).
 ///
 /// A clean route has a single `served` entry for its primary rung; every
-/// earlier entry names a rung that failed and why. Cache *misses* are
-/// not recorded — a miss is the normal path, not a degradation.
+/// earlier entry names a rung that failed and why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DegradationTrace {
     len: u8,
@@ -605,8 +599,8 @@ impl fmt::Display for DegradationTrace {
 /// Which parts of the resilience layer are armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceConfig {
-    /// Fall through to a fresh numeric DW enumeration when the cache and
-    /// LUT rungs cannot serve a tabulated degree.
+    /// Fall through to a fresh numeric DW enumeration when the LUT rung
+    /// cannot serve a tabulated degree.
     pub dw_fallback: bool,
     /// Fall through to the baseline heuristic sweep as the last rung.
     pub baseline_fallback: bool,
@@ -664,20 +658,6 @@ pub struct ResilienceReport {
     pub deadline_hits: u64,
     /// Served nets per rung, indexed by [`Rung::index`].
     pub served_by: [u64; Rung::COUNT],
-    /// Whether the frontier cache's adaptive bypass retired the cache
-    /// during this batch (hit rate below the configured floor through the
-    /// warmup window — see [`crate::cache::CacheConfig::bypass_warmup`]).
-    /// Stamped by [`crate::PatLabor::route_batch_with_report`];
-    /// [`ResilienceReport::from_results`] alone cannot know it.
-    pub cache_bypassed: bool,
-    /// Cache read-lock acquisitions that found the shard lock held
-    /// (failed `try_read` before blocking), summed across shards.
-    /// Stamped like [`cache_bypassed`](ResilienceReport::cache_bypassed).
-    pub cache_contended_reads: u64,
-    /// Cache write-lock acquisitions that found the shard lock held
-    /// (failed `try_write` before blocking), summed across shards.
-    /// Stamped like [`cache_bypassed`](ResilienceReport::cache_bypassed).
-    pub cache_contended_writes: u64,
 }
 
 impl ResilienceReport {
@@ -739,16 +719,6 @@ impl fmt::Display for ResilienceReport {
         )?;
         for rung in Rung::ALL {
             write!(f, " {} {}", rung.label(), self.served_by[rung.index()])?;
-        }
-        if self.cache_bypassed {
-            write!(f, "; cache bypassed (hit rate below floor)")?;
-        }
-        if self.cache_contended_reads + self.cache_contended_writes > 0 {
-            write!(
-                f,
-                "; cache lock contention: {} reads, {} writes",
-                self.cache_contended_reads, self.cache_contended_writes
-            )?;
         }
         Ok(())
     }

@@ -3,7 +3,7 @@
 //! (see [`crate::engine`] for the engine/session split).
 //!
 //! The staged serving pipeline
-//! `Classify → CacheLookup → LutQuery → LocalSearch → Materialize`
+//! `Classify → LutQuery | LocalSearch → Materialize`
 //! (see [`crate::pipeline`] for the stage diagram) and the degradation
 //! ladder of [`crate::resilience`] (DESIGN.md §12) live on the engine;
 //! `PatLabor` keeps the original construct-once/route-per-net API for
@@ -18,8 +18,6 @@ use patlabor_pareto::ParetoSet;
 use patlabor_tree::RoutingTree;
 
 use crate::batch::BatchConfig;
-use crate::cache::{CacheConfig, CacheStats, ShardStats};
-use crate::eco::EcoConfig;
 use crate::engine::{Engine, Session};
 use crate::local_search::LocalSearchConfig;
 use crate::pipeline::{RouteError, RouteOutcome};
@@ -35,13 +33,6 @@ pub struct RouterConfig {
     pub lambda: u8,
     /// Local-search settings for nets with degree `> λ`.
     pub local_search: LocalSearchConfig,
-    /// Frontier-cache settings ([`crate::cache`]). The cache memoizes
-    /// winning topology ids per congruence class of nets, so repeated,
-    /// translated and mirrored pin patterns skip the evaluation of
-    /// dominated candidates. Routing results are bit-identical with the
-    /// cache enabled or disabled; set `cache.enabled = false` (or use
-    /// [`CacheConfig::disabled`]) to always evaluate from scratch.
-    pub cache: CacheConfig,
     /// Which fallback rungs of the degradation ladder are armed, whether
     /// served frontiers are validated against their witness trees, and
     /// the optional per-net deadline. [`ResilienceConfig::strict`]
@@ -55,10 +46,6 @@ pub struct RouterConfig {
     /// Batch-driver tuning ([`crate::batch::BatchConfig`]): the
     /// work-stealing chunk size, auto-derived by default.
     pub batch: BatchConfig,
-    /// Incremental-rerouting policy ([`crate::eco::EcoConfig`]): how
-    /// many consecutive edits [`Engine::reroute`] may serve from replay
-    /// before forcing a fresh route.
-    pub eco: EcoConfig,
 }
 
 impl Default for RouterConfig {
@@ -66,11 +53,9 @@ impl Default for RouterConfig {
         RouterConfig {
             lambda: 5,
             local_search: LocalSearchConfig::default(),
-            cache: CacheConfig::default(),
             resilience: ResilienceConfig::default(),
             faults: FaultPlane::default(),
             batch: BatchConfig::default(),
-            eco: EcoConfig::default(),
         }
     }
 }
@@ -80,7 +65,7 @@ impl Default for RouterConfig {
 /// Construct once (table generation is the expensive part), then call
 /// [`PatLabor::route`] per net — the intended usage pattern for routing
 /// millions of nets. Internally this is a handle to a long-lived
-/// [`Engine`]; cloning shares the table, cache and fault plane rather
+/// [`Engine`]; cloning shares the table, policy and fault plane rather
 /// than duplicating them. Long-lived services (the `patlabor serve`
 /// daemon) use the [`Engine`]/[`Session`] API directly.
 ///
@@ -161,13 +146,6 @@ impl PatLabor {
         }
     }
 
-    /// Replaces the frontier-cache configuration, dropping any cached
-    /// entries (and the old counters) in the process.
-    #[must_use]
-    pub fn with_cache(self, cache: CacheConfig) -> Self {
-        PatLabor { engine: self.engine.with_cache(cache) }
-    }
-
     /// Replaces the resilience configuration (armed fallback rungs,
     /// frontier validation, per-net deadline).
     #[must_use]
@@ -221,8 +199,8 @@ impl PatLabor {
     /// panic — falls through the degradation ladder
     ///
     /// ```text
-    /// cache → LUT query → numeric DW → baseline      (degree ≤ λ)
-    ///         local search → baseline                (degree > λ)
+    /// LUT query → numeric DW → baseline      (degree ≤ λ)
+    /// local search → baseline                (degree > λ)
     /// ```
     ///
     /// and the descent is recorded in the provenance trace. Only when
@@ -232,9 +210,8 @@ impl PatLabor {
     /// (an `AllRungs` stage panic) or a disarmed ladder
     /// ([`ResilienceConfig::strict`]).
     ///
-    /// Routing is deterministic: the frontier is bit-identical regardless
-    /// of the frontier cache's state (only the provenance differs between
-    /// a cache hit and a full query).
+    /// Routing is deterministic: the whole outcome, provenance included,
+    /// depends only on the net and the router's table and configuration.
     pub fn route(&self, net: &Net) -> Result<RouteOutcome, RouteError> {
         self.engine.route(net)
     }
@@ -265,19 +242,6 @@ impl PatLabor {
             Ok(outcome) => outcome.frontier,
             Err(e) => panic!("routing failed with every armed rung exhausted: {e}"),
         }
-    }
-
-    /// Frontier-cache counters, or `None` when the cache is disabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.engine.cache_stats()
-    }
-
-    /// Per-shard frontier-cache counters (hits, misses, occupancy, lock
-    /// contention), or `None` when the cache is disabled. The scaling
-    /// bench reads these to spot hot shards instead of averaging them
-    /// away in the aggregate [`CacheStats`].
-    pub fn cache_shard_stats(&self) -> Option<Vec<ShardStats>> {
-        self.engine.cache_shard_stats()
     }
 
     /// Whether `route` is exact for this degree.
@@ -371,68 +335,32 @@ mod tests {
     }
 
     #[test]
-    fn provenance_distinguishes_cache_hits_from_full_queries() {
+    fn repeated_routes_share_provenance() {
         let router = PatLabor::new();
         let mut seed = 9u64;
         let net = random_net(&mut seed, 4, 50);
         let first = router.route(&net).unwrap();
         assert_eq!(first.provenance.source, RouteSource::ExactLut);
-        assert_eq!(first.provenance.counters.cache_probes, 1);
-        assert_eq!(first.provenance.counters.cache_hits, 0);
         assert!(first.provenance.counters.candidates_scored >= 1);
-        let second = router.route(&net).unwrap();
-        assert_eq!(second.provenance.source, RouteSource::CacheHit);
-        assert_eq!(second.provenance.counters.cache_hits, 1);
-        // A cache hit scores nothing and materializes winners only.
-        assert_eq!(second.provenance.counters.candidates_scored, 0);
         assert_eq!(
-            second.provenance.counters.trees_materialized as usize,
-            second.frontier.len()
+            first.provenance.counters.trees_materialized as usize,
+            first.frontier.len()
         );
-        // A cache miss is the normal path, not a degradation.
         assert!(!first.provenance.trace.degraded());
-        assert_eq!(second.provenance.trace.served_by(), Some(Rung::Cache));
-        // The frontier itself is bit-identical either way.
-        assert_eq!(first.frontier, second.frontier);
-    }
-
-    #[test]
-    fn adaptive_bypass_stops_probing_a_useless_cache() {
-        use crate::cache::CacheConfig;
-        // A 100% hit-rate floor no real workload can meet: the bypass
-        // must fire as soon as the 8-probe warmup window closes.
-        let router = PatLabor::new().with_cache(CacheConfig {
-            bypass_warmup: 8,
-            bypass_threshold_permille: 1000,
-            ..CacheConfig::default()
-        });
-        let mut seed = 11u64;
-        let nets: Vec<Net> = (0..20).map(|_| random_net(&mut seed, 4, 5000)).collect();
-        let mut post_bypass = 0;
-        for net in &nets {
-            let was_bypassed = router.cache_stats().unwrap().bypassed;
-            let outcome = router.route(net).unwrap();
-            if was_bypassed {
-                post_bypass += 1;
-                assert_eq!(
-                    outcome.provenance.counters.cache_probes, 0,
-                    "a bypassed cache must not be probed"
-                );
-                assert_eq!(outcome.provenance.source, RouteSource::ExactLut);
-            }
-        }
-        let stats = router.cache_stats().unwrap();
-        assert!(stats.bypassed, "warmup elapsed below the floor");
-        assert!(post_bypass > 0, "some nets must have routed past the bypass");
-        assert_eq!(
-            stats.hits + stats.misses,
-            8,
-            "probing must stop exactly at the warmup boundary"
-        );
-        // The batch report surfaces the retirement.
-        let (_, report) = router.route_batch_with_report(&nets[..3], 1);
-        assert!(report.cache_bypassed);
-        assert!(report.to_string().contains("cache bypassed"));
+        assert_eq!(first.provenance.trace.served_by(), Some(Rung::Lut));
+        // A repeat of the same net (or of a congruent copy) is answered by
+        // the same query, not from state the first route left behind.
+        assert_eq!(router.route(&net).unwrap(), first);
+        let shifted = Net::new(
+            net.pins()
+                .iter()
+                .map(|p| Point::new(p.x + 1000, p.y - 7))
+                .collect(),
+        )
+        .unwrap();
+        let moved = router.route(&shifted).unwrap();
+        assert_eq!(moved.provenance, first.provenance);
+        assert_eq!(moved.frontier.cost_vec(), first.frontier.cost_vec());
     }
 
     #[test]
@@ -442,7 +370,7 @@ mod tests {
         let outcome = router.route(&net).unwrap();
         assert_eq!(outcome.provenance.source, RouteSource::ClosedForm);
         assert_eq!(outcome.provenance.counters.trees_materialized, 1);
-        assert_eq!(outcome.provenance.counters.cache_probes, 0);
+        assert_eq!(outcome.provenance.counters.candidates_scored, 0);
         assert_eq!(outcome.provenance.trace.served_by(), Some(Rung::ClosedForm));
         assert_eq!(outcome.frontier.len(), 1);
     }

@@ -7,8 +7,8 @@
 //! symmetries (the L1 metric commutes with axis swaps and flips), and the
 //! set of potentially Pareto-optimal topologies depends only on the
 //! rank-space [`Pattern`], so everything the serving stack derives from a
-//! net — lookup-table indices, frontier-cache keys, symbolic-cost
-//! evaluation — factors through one object: the net's [`NetClass`].
+//! net — lookup-table indices and symbolic-cost evaluation — factors
+//! through one object: the net's [`NetClass`].
 //!
 //! A `NetClass` is computed once per net and carries exactly three facts:
 //!
@@ -23,11 +23,10 @@
 //!
 //! The invariant every consumer relies on: **two nets with equal
 //! `(key, canonical_gaps)` must route identically** — same frontier, same
-//! tie-breaks, same winning topology ids. The frontier cache keys on this
-//! pair, the lookup table binary-searches the key and dot-products the
-//! gaps, and the symbolic DW rows are generated in the same canonical
-//! space. Before this type existed the three consumers each re-derived the
-//! canonicalization; now they share this one.
+//! tie-breaks, same winning topology ids. The lookup table searches the
+//! key and dot-products the gaps, and the symbolic DW rows are generated
+//! in the same canonical space; both consumers share this one
+//! canonicalization.
 
 use crate::{HananGrid, Net, Pattern, PatternKey, Point, RankNode, Transform, ALL_TRANSFORMS};
 
@@ -156,7 +155,7 @@ impl NetClass {
         self.key
     }
 
-    /// [`NetClass::key`] as a raw `u64` (table indices, cache keys).
+    /// [`NetClass::key`] as a raw `u64` (table indices).
     pub fn canonical_key(&self) -> u64 {
         self.key.as_u64()
     }

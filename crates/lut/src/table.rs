@@ -538,16 +538,14 @@ impl LookupTable {
         let class = self
             .classify(net)
             .expect("degree checked to be in 3..=lambda");
-        Some(self.query_witnesses(net, &class)?.0)
+        self.query_witnesses(net, &class)
     }
 
-    /// Canonicalizes `net` for [`LookupTable::query_witnesses`] /
-    /// [`LookupTable::query_ids`], or `None` when its degree is outside
-    /// `3..=λ` (degree 2 has a closed-form answer and nothing to cache).
+    /// Canonicalizes `net` for [`LookupTable::query_witnesses`], or
+    /// `None` when its degree is outside `3..=λ` (degree 2 has a
+    /// closed-form answer and no pattern).
     ///
-    /// The canonicalization itself lives in [`patlabor_geom::NetClass`] —
-    /// the same object the frontier cache keys on — so the table and the
-    /// cache can never disagree about which nets are congruent.
+    /// The canonicalization itself lives in [`patlabor_geom::NetClass`].
     pub fn classify(&self, net: &Net) -> Option<NetClass> {
         let n = net.degree();
         if n < 3 || n > self.lambda as usize {
@@ -627,27 +625,16 @@ impl LookupTable {
         MATERIALIZATIONS.with(|c| c.get())
     }
 
-    /// The Pareto frontier of `net` together with the pool ids of the
-    /// winning topologies (in frontier order), or `None` when the
-    /// canonical pattern is not tabulated.
+    /// The Pareto frontier of `net`, or `None` when the canonical
+    /// pattern is not tabulated.
     ///
     /// Composes the three query stages: [`LookupTable::candidate_ids`]
     /// (key-index lookup), [`LookupTable::score_candidates`] (dot products
     /// + numeric prune) and [`LookupTable::materialize`] (survivors only).
-    ///
-    /// The id list is exactly what a frontier cache needs to store:
-    /// replaying it through [`LookupTable::query_ids`] on any net with the
-    /// same canonical key and gap vector reproduces this frontier
-    /// bit-for-bit, including tie-break order.
-    pub fn query_witnesses(
-        &self,
-        net: &Net,
-        class: &NetClass,
-    ) -> Option<(ParetoSet<RoutingTree>, Vec<u32>)> {
+    pub fn query_witnesses(&self, net: &Net, class: &NetClass) -> Option<ParetoSet<RoutingTree>> {
         let ids = self.candidate_ids(class)?;
-        let frontier = self.score_candidates(class, ids);
-        let mut winners = Vec::with_capacity(frontier.len());
-        let entries: Vec<(Cost, RoutingTree)> = frontier
+        let entries: Vec<(Cost, RoutingTree)> = self
+            .score_candidates(class, ids)
             .into_iter()
             .map(|(cost, id)| {
                 let tree = self.materialize(net, class, id);
@@ -656,33 +643,12 @@ impl LookupTable {
                     tree.objectives(),
                     "dot-product score must equal the materialized tree's objectives"
                 );
-                winners.push(id);
                 (cost, tree)
             })
             .collect();
         // Entries are already sorted ascending-w / strictly-descending-d,
         // so this sweep keeps every entry as-is.
-        Some((ParetoSet::from_unpruned(entries), winners))
-    }
-
-    /// Re-evaluates a cached winning-id list against `net`.
-    ///
-    /// `ids` must come from a [`LookupTable::query_witnesses`] call whose
-    /// class had the same canonical key and gap vector (the frontier
-    /// cache's lookup key); the result then equals that call's frontier.
-    pub fn query_ids(&self, net: &Net, class: &NetClass, ids: &[u32]) -> ParetoSet<RoutingTree> {
-        let table = &self.tables[class.degree() as usize];
-        let gaps = class.canonical_gaps();
-        let witnesses: Vec<(Cost, RoutingTree)> = ids
-            .iter()
-            .map(|&id| {
-                let (w, d) = score_block(table.rows_of(id), gaps);
-                (Cost::new(w, d), self.materialize(net, class, id))
-            })
-            .collect();
-        // Winners are mutually non-dominating and already in frontier
-        // order, so this sort-and-sweep keeps every entry as-is.
-        ParetoSet::from_unpruned(witnesses)
+        Some(ParetoSet::from_unpruned(entries))
     }
 
     /// Reference query path: materializes **every** candidate topology and

@@ -238,8 +238,8 @@ impl TransportPlane {
     }
 }
 
-/// splitmix64 — the same finalizer the engine plane and the cache's
-/// shard hash use (reimplemented here because `patlabor` keeps its
+/// splitmix64 — the same finalizer the engine's fault plane uses
+/// (reimplemented here because `patlabor` keeps its
 /// copy private to `core::resilience`).
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use patlabor::{CacheStats, Rung};
+use patlabor::Rung;
 
 use crate::chaos::TransportFaultKind;
 
@@ -163,9 +163,8 @@ impl Metrics {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Renders the Prometheus text exposition. `cache` is the engine's
-    /// live cache counters (absent when the frontier cache is disabled).
-    pub fn render(&self, cache: Option<&CacheStats>) -> String {
+    /// Renders the Prometheus text exposition.
+    pub fn render(&self) -> String {
         let mut out = String::new();
         let counter = |out: &mut String, name: &str, help: &str, value: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
@@ -320,50 +319,6 @@ impl Metrics {
             self.latency.sum_ns() as f64 / 1e9
         );
         let _ = writeln!(out, "patlabor_latency_seconds_count {}", self.latency.count());
-        if let Some(stats) = cache {
-            counter(
-                &mut out,
-                "patlabor_cache_hits_total",
-                "Frontier-cache hits.",
-                stats.hits,
-            );
-            counter(
-                &mut out,
-                "patlabor_cache_misses_total",
-                "Frontier-cache misses.",
-                stats.misses,
-            );
-            let probes = stats.hits + stats.misses;
-            let rate = if probes == 0 {
-                0.0
-            } else {
-                stats.hits as f64 / probes as f64
-            };
-            let _ = writeln!(
-                out,
-                "# HELP patlabor_cache_hit_rate Frontier-cache hit rate over all probes."
-            );
-            let _ = writeln!(out, "# TYPE patlabor_cache_hit_rate gauge");
-            let _ = writeln!(out, "patlabor_cache_hit_rate {rate:.6}");
-            let _ = writeln!(
-                out,
-                "# HELP patlabor_cache_bypassed Whether the adaptive bypass retired the cache."
-            );
-            let _ = writeln!(out, "# TYPE patlabor_cache_bypassed gauge");
-            let _ = writeln!(out, "patlabor_cache_bypassed {}", u64::from(stats.bypassed));
-            counter(
-                &mut out,
-                "patlabor_cache_contended_reads_total",
-                "Cache shard read locks found held.",
-                stats.contended_reads,
-            );
-            counter(
-                &mut out,
-                "patlabor_cache_contended_writes_total",
-                "Cache shard write locks found held.",
-                stats.contended_writes,
-            );
-        }
         out
     }
 }
@@ -416,12 +371,7 @@ mod tests {
         Metrics::add(&m.requests, 3);
         Metrics::add(&m.rejected, 1);
         m.latency.record(5_000);
-        let cache = CacheStats {
-            hits: 3,
-            misses: 1,
-            ..CacheStats::default()
-        };
-        let text = m.render(Some(&cache));
+        let text = m.render();
         for family in [
             "patlabor_requests_total 3",
             "patlabor_rejected_total{reason=\"overloaded\"} 1",
@@ -430,7 +380,6 @@ mod tests {
             "patlabor_latency_seconds{quantile=\"0.5\"}",
             "patlabor_latency_seconds_count 1",
             "patlabor_queue_depth 0",
-            "patlabor_cache_hit_rate 0.75",
             "patlabor_batches_total 0",
             "patlabor_conn_timeouts_total{side=\"read\"} 0",
             "patlabor_conn_timeouts_total{side=\"write\"} 0",
@@ -443,7 +392,9 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
-        // Cache families vanish when the cache is disabled.
-        assert!(!m.render(None).contains("patlabor_cache"));
+        assert!(
+            !text.contains("patlabor_cache"),
+            "no cache families:\n{text}"
+        );
     }
 }

@@ -49,9 +49,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use patlabor::{
-    DeltaJob, Engine, Net, NetDelta, ResilienceReport, RouteResult, Rung, RungOutcome, Session,
-};
+use patlabor::{Engine, Net, ResilienceReport, RouteResult, Rung, RungOutcome, Session};
 
 use crate::chaos::{TransportFaultKind, TransportPlane};
 use crate::http;
@@ -153,16 +151,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// What an admitted request asks the engine to do: route a net from
-/// scratch, or replay an ECO edit against a prior route.
-enum Job {
-    Route(Net),
-    Reroute { delta: NetDelta, prior_edits: u32 },
-}
-
-/// One admitted request waiting for a window.
+/// One admitted request waiting for a window: the net to route — for
+/// an ECO reroute, the edited net (a reroute is exactly a route of the
+/// edited net, see `Engine::reroute_with_staleness`).
 struct Pending {
-    job: Job,
+    net: Net,
     session: Session,
     enqueued: Instant,
     /// Bounded: a full buffer means the client stopped reading and is
@@ -301,10 +294,8 @@ impl Shared {
         }
     }
 
-    /// Routes one closed window and replies per request. A window may
-    /// mix fresh routes and ECO reroutes: each kind goes through its
-    /// own batch-driver call and the replies are reassembled in the
-    /// window's arrival order.
+    /// Routes one closed window — fresh routes and ECO reroutes alike —
+    /// through one batch-driver call and replies per request.
     fn close_window(&self, batch: Vec<Pending>, threads: usize) {
         if batch.is_empty() {
             return;
@@ -312,40 +303,9 @@ impl Shared {
         Metrics::add(&self.metrics.batches, 1);
         Metrics::add(&self.metrics.batched_nets, batch.len() as u64);
         let started = Instant::now();
-        let mut fresh = Vec::new();
-        let mut fresh_slots = Vec::new();
-        let mut deltas = Vec::new();
-        let mut delta_slots = Vec::new();
-        for (slot, p) in batch.iter().enumerate() {
-            match &p.job {
-                Job::Route(net) => {
-                    fresh.push((net.clone(), p.session));
-                    fresh_slots.push(slot);
-                }
-                Job::Reroute { delta, prior_edits } => {
-                    deltas.push(DeltaJob {
-                        delta: delta.clone(),
-                        prior_edits: *prior_edits,
-                        session: p.session,
-                    });
-                    delta_slots.push(slot);
-                }
-            }
-        }
-        let mut results: Vec<Option<RouteResult>> = Vec::new();
-        results.resize_with(batch.len(), || None);
-        if !fresh.is_empty() {
-            let (routed, _stats) = self.engine.route_batch_sessions(&fresh, threads);
-            for (slot, result) in fresh_slots.into_iter().zip(routed) {
-                results[slot] = Some(result);
-            }
-        }
-        if !deltas.is_empty() {
-            let (rerouted, _stats) = self.engine.route_batch_deltas(&deltas, threads);
-            for (slot, result) in delta_slots.into_iter().zip(rerouted) {
-                results[slot] = Some(result);
-            }
-        }
+        let requests: Vec<(Net, Session)> =
+            batch.iter().map(|p| (p.net.clone(), p.session)).collect();
+        let (results, _stats) = self.engine.route_batch_sessions(&requests, threads);
         // Fold the window's wall time into the drain-rate EWMA that
         // admission control prices rejections with.
         let per_net_ns = u64::try_from(
@@ -363,7 +323,6 @@ impl Shared {
         self.drain_ns_per_net.store(blended.max(1), ordering);
         let mut report = lock(&self.report);
         for (pending, result) in batch.iter().zip(&results) {
-            let Some(result) = result else { continue };
             report.record(result);
             self.fold_result_metrics(pending, result);
             let payload = result_to_json(pending.session.id, result).render();
@@ -453,13 +412,9 @@ impl Shared {
                     continue;
                 }
             };
-            let (id, deadline_ms, job) = match request {
-                Request::Route(r) => (r.id, r.deadline_ms, Job::Route(r.net)),
-                Request::Reroute(r) => (
-                    r.id,
-                    r.deadline_ms,
-                    Job::Reroute { delta: r.delta, prior_edits: r.prior_edits },
-                ),
+            let (id, deadline_ms, net) = match request {
+                Request::Route(r) => (r.id, r.deadline_ms, r.net),
+                Request::Reroute(r) => (r.id, r.deadline_ms, r.delta.apply()),
                 // The admin verb is handled inline on this connection's
                 // reader thread: validation is file I/O, never touches
                 // the batcher, and a per-connection stall here harms
@@ -481,7 +436,7 @@ impl Shared {
                 session = session.with_deadline(Duration::from_millis(ms));
             }
             let pending = Pending {
-                job,
+                net,
                 session,
                 enqueued: Instant::now(),
                 reply: reply_tx.clone(),
@@ -621,7 +576,7 @@ pub(crate) fn http_route(shared: &Arc<Shared>, conn_id: u64, body: &[u8]) -> Vec
             return malformed_json(&m).render().into_bytes();
         }
     };
-    submit_and_await(shared, conn_id, request.id, request.deadline_ms, Job::Route(request.net))
+    submit_and_await(shared, conn_id, request.id, request.deadline_ms, request.net)
 }
 
 /// The HTTP adapter's ECO verb (`POST /reroute`): same admission, same
@@ -634,16 +589,11 @@ pub(crate) fn http_reroute(shared: &Arc<Shared>, conn_id: u64, body: &[u8]) -> V
             return malformed_json(&m).render().into_bytes();
         }
     };
-    submit_and_await(
-        shared,
-        conn_id,
-        request.id,
-        request.deadline_ms,
-        Job::Reroute { delta: request.delta, prior_edits: request.prior_edits },
-    )
+    let edited = request.delta.apply();
+    submit_and_await(shared, conn_id, request.id, request.deadline_ms, edited)
 }
 
-/// Shared HTTP tail: admit one job and await its reply inline. A
+/// Shared HTTP tail: admit one net and await its reply inline. A
 /// capacity of one is always enough — HTTP is request/response, so at
 /// most one reply is ever owed and `try_send` in the batcher can never
 /// find this channel full.
@@ -652,7 +602,7 @@ fn submit_and_await(
     conn_id: u64,
     id: u64,
     deadline_ms: Option<u64>,
-    job: Job,
+    net: Net,
 ) -> Vec<u8> {
     let mut session = Session::new(id);
     if let Some(ms) = deadline_ms {
@@ -660,7 +610,7 @@ fn submit_and_await(
     }
     let (tx, rx) = mpsc::sync_channel(1);
     let pending = Pending {
-        job,
+        net,
         session,
         enqueued: Instant::now(),
         reply: tx,
@@ -683,9 +633,7 @@ fn submit_and_await(
 }
 
 pub(crate) fn render_metrics(shared: &Shared) -> String {
-    shared
-        .metrics
-        .render(shared.engine.cache_stats().as_ref())
+    shared.metrics.render()
 }
 
 /// Whether shutdown draining has begun (checked by the acceptors).
@@ -737,8 +685,7 @@ pub struct Server {
 /// [`Server::shutdown`].
 #[derive(Debug, Clone)]
 pub struct ServeSummary {
-    /// The ladder/fault aggregate over every routed request, cache
-    /// health stamped.
+    /// The ladder/fault aggregate over every routed request.
     pub report: ResilienceReport,
     /// Requests rejected by admission control.
     pub rejected: u64,
@@ -1033,10 +980,7 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-        let report = self
-            .shared
-            .engine
-            .stamp_report_cache_health(*lock(&self.shared.report));
+        let report = *lock(&self.shared.report);
         let metrics = &self.shared.metrics;
         let mut served_by = [0u64; Rung::COUNT];
         for (slot, counter) in served_by.iter_mut().zip(metrics.served_by.iter()) {

@@ -17,9 +17,10 @@
 //! [`DeltaKind`] grammar objects (`move-pin`, `add-sink`,
 //! `remove-sink`, `translate`, `blockage-mask`), and optional
 //! `staleness` the number of edits already applied since the last full
-//! route (defaults to 0). The presence of `"edit"` is what routes a
-//! frame down the reroute path; responses share the route response
-//! shape, with `"source": "reused"` marking a replay.
+//! route (defaults to 0; accepted and range-checked but unused — the
+//! engine routes the edited net whatever its lineage). The presence of
+//! `"edit"` is what routes a frame down the reroute path; the response
+//! is byte-identical to a `route` response for the edited net.
 //!
 //! Response (success):
 //! `{"id":7,"ok":true,"degree":3,"source":"exact-lut","rung":"lut",
@@ -140,8 +141,9 @@ pub struct RerouteRequest {
     pub id: u64,
     /// The edit: base net plus the delta to apply.
     pub delta: NetDelta,
-    /// Edits already applied since the last full route (feeds the
-    /// staleness counter; 0 when the base was routed from scratch).
+    /// Edits already applied since the last full route (the wire
+    /// `staleness` field; 0 when absent). Accepted but unused: the
+    /// engine routes the edited net whatever its lineage.
     pub prior_edits: u32,
     /// Optional per-request deadline override, in milliseconds.
     pub deadline_ms: Option<u64>,

@@ -331,12 +331,11 @@ fn impossible_deadline_degrades_but_answers() {
 }
 
 /// ECO reroute frames share the coalescing windows with fresh routes:
-/// a mixed window answers both, and a class-preserving edit whose base
-/// was routed in the same window replays (`"source": "reused"`) —
-/// fresh sub-batches close before delta sub-batches, so the winners
-/// are already resident.
+/// a mixed window answers both, and the reroute reply — `staleness`
+/// accepted and ignored — is exactly the route reply for the edited
+/// net. The served-by-rung ledger balances against the responses.
 #[test]
-fn reroute_frames_replay_in_mixed_windows() {
+fn reroute_frames_route_the_edited_net_in_mixed_windows() {
     let clock = Arc::new(VirtualClock::new());
     let engine = test_engine().with_clock(clock);
     let server = serve(
@@ -367,7 +366,7 @@ fn reroute_frames_replay_in_mixed_windows() {
         .send_reroute(&RerouteRequest {
             id: 3,
             delta: delta.clone(),
-            prior_edits: 0,
+            prior_edits: 7,
             deadline_ms: None,
         })
         .expect("send reroute");
@@ -380,19 +379,12 @@ fn reroute_frames_replay_in_mixed_windows() {
         assert_eq!(reply.get("id").and_then(Json::as_u64), Some(i as u64));
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
     }
-    let eco = &replies[3];
+    // The whole reply, provenance included, is what routing the edited
+    // net under the same id serializes to.
     assert_eq!(
-        eco.get("source").and_then(Json::as_str),
-        Some("reused"),
-        "a translate edit preserves the class and must replay: {}",
-        eco.render()
-    );
-    // The replayed frontier is the one a fresh route of the mutated
-    // net produces.
-    assert_eq!(
-        frontier_fields(eco),
-        direct_frontier(&engine, 3, &delta.apply()),
-        "replay diverged from routing the mutated net"
+        replies[3].render(),
+        patlabor_serve::result_to_json(3, &engine.route(&delta.apply())).render(),
+        "a reroute must answer exactly like a route of the edited net"
     );
 
     assert_eq!(
@@ -403,12 +395,32 @@ fn reroute_frames_replay_in_mixed_windows() {
     let summary = server.shutdown();
     assert_eq!(summary.report.nets, 4);
     assert_eq!(summary.report.errors, 0);
+    assert_eq!(summary.served_by.len(), patlabor::Rung::ALL.len());
+    assert_eq!(summary.served_by.iter().sum::<u64>(), summary.responses);
+    assert_eq!(summary.responses, 4);
 }
 
-/// `POST /reroute` mirrors the socket reroute verb: replay after a
-/// prior `/route`, malformed bodies get the wire vocabulary.
+/// A `reroute` frame carrying `"staleness": 7` parses: the field is
+/// still range-checked and carried, though routing ignores it.
 #[test]
-fn http_reroute_replays_after_a_route() {
+fn reroute_frame_with_staleness_parses() {
+    let frame = br#"{"id": 9, "base": [[0,0],[5,9],[9,4]],
+        "edit": {"kind": "translate", "dx": 3, "dy": -1}, "staleness": 7}"#;
+    let request = patlabor_serve::parse_reroute_request(frame).expect("parses");
+    assert_eq!(request.id, 9);
+    assert_eq!(request.prior_edits, 7);
+    assert_eq!(request.delta.kind, DeltaKind::Translate { dx: 3, dy: -1 });
+    let negative = br#"{"id": 9, "base": [[0,0],[5,9]],
+        "edit": {"kind": "translate", "dx": 3, "dy": -1}, "staleness": -1}"#;
+    let err = patlabor_serve::parse_reroute_request(negative).expect_err("out of range");
+    assert!(err.detail.contains("staleness"), "{}", err.detail);
+}
+
+/// `POST /reroute` mirrors the socket reroute verb: its body is
+/// byte-identical to the `POST /route` body for the edited net under the
+/// same id, and malformed bodies get the wire vocabulary.
+#[test]
+fn http_reroute_answers_like_a_route_of_the_edited_net() {
     let engine = test_engine();
     let server = serve(
         engine.clone(),
@@ -431,19 +443,26 @@ fn http_reroute_replays_after_a_route() {
     assert_eq!(status, 200);
 
     let delta = NetDelta::new(base, DeltaKind::Translate { dx: -4, dy: 9 });
-    let reroute = RerouteRequest { id: 2, delta: delta.clone(), prior_edits: 0, deadline_ms: None };
+    let reroute = RerouteRequest { id: 2, delta: delta.clone(), prior_edits: 7, deadline_ms: None };
+    assert!(reroute.to_json().render().contains("\"staleness\":7"));
     let (status, body) =
         http_post_reroute(http, reroute.to_json().render().as_bytes()).expect("POST /reroute");
     assert_eq!(status, 200);
     let reply = patlabor_serve::parse(&body).expect("json body");
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    assert_eq!(
-        reply.get("source").and_then(Json::as_str),
-        Some("reused"),
-        "{}",
-        reply.render()
-    );
     assert_eq!(frontier_fields(&reply), direct_frontier(&engine, 2, &delta.apply()));
+    let edited = RouteRequest {
+        id: 2,
+        net: delta.apply(),
+        deadline_ms: None,
+    };
+    let (status, route_body) =
+        http_post_route(http, edited.to_json().render().as_bytes()).expect("POST /route");
+    assert_eq!(status, 200);
+    assert_eq!(
+        body, route_body,
+        "reroute and route replies must be byte-identical"
+    );
 
     // A reroute body without an edit is malformed, not a 4xx.
     let (status, body) =
@@ -454,7 +473,7 @@ fn http_reroute_replays_after_a_route() {
 
     let summary = server.shutdown();
     assert_eq!(summary.malformed, 1);
-    assert_eq!(summary.report.nets, 2);
+    assert_eq!(summary.report.nets, 3);
 }
 
 /// The HTTP adapter: /healthz, /metrics exposition, and POST /route
@@ -500,11 +519,14 @@ fn http_adapter_serves_metrics_and_routes() {
         "patlabor_served_by_rung_total{rung=\"lut\"}",
         "patlabor_latency_seconds{quantile=\"0.99\"}",
         "patlabor_latency_seconds_count 3",
-        "patlabor_cache_hit_rate",
         "patlabor_queue_depth 0",
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }
+    assert!(
+        !text.contains("patlabor_cache"),
+        "no cache families in:\n{text}"
+    );
 
     // Unknown paths 404 without killing the listener.
     let (status, _) = patlabor_serve::http_request(http, "GET", "/nope", &[]).expect("GET");

@@ -333,6 +333,13 @@ mod tests {
         );
         assert!(report.chaos_injected > 0);
         assert!(report.answered > 0, "{}", report.summary());
+        // The served-by-rung ledger balances over the ladder's rungs.
+        assert_eq!(
+            report.served_by_sum,
+            report.responses,
+            "{}",
+            report.summary()
+        );
         let text = report.summary();
         assert!(text.contains("all crash-only invariants held"));
     }

@@ -2,13 +2,13 @@
 //!
 //! The router is built out of fast paths that each claim to be
 //! indistinguishable from a slower reference computation: the LUT
-//! dot-product query from a fresh numeric DW enumeration, the frontier
-//! cache from a cache-disabled query, the lock-free batch driver from a
-//! serial loop, a routed net from its D4/translated images, the reloaded
-//! v3 table from the in-memory original. Unit tests pin each claim on a
-//! handful of hand-written nets; this crate cross-validates all of them
-//! on a seeded corpus of hundreds of random nets and reports the *first
-//! divergence* as a minimized, replayable counterexample.
+//! dot-product query from a fresh numeric DW enumeration, the lock-free
+//! batch driver from a serial loop, a routed net from its D4/translated
+//! images, the reloaded v3 table from the in-memory original. Unit
+//! tests pin each claim on a handful of hand-written nets; this crate
+//! cross-validates all of them on a seeded corpus of hundreds of random
+//! nets and reports the *first divergence* as a minimized, replayable
+//! counterexample.
 //!
 //! The harness also verifies **itself**: [`mutation_smoke`] plants a
 //! single corrupted cost row in an otherwise healthy table (via
@@ -47,7 +47,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use patlabor::pipeline::{RouteOutcome, RouteResult, RouteSource};
-use patlabor::CacheConfig;
 
 /// Predicate evaluations the shrinker may spend per counterexample.
 const SHRINK_EVAL_BUDGET: usize = 4_000;
@@ -62,8 +61,8 @@ pub struct VerifyConfig {
     /// Smallest corpus degree (≥ 3; degree 2 is a closed form).
     pub min_degree: usize,
     /// Largest corpus degree. Degrees above λ exercise the local-search
-    /// path (covered by the cache and batch pairs only — local search is
-    /// neither table-backed nor D4-invariant by contract).
+    /// path (covered by the batch, wire and fallback pairs only — local
+    /// search is neither table-backed nor D4-invariant by contract).
     pub max_degree: usize,
     /// λ of the freshly built tables ([`verify`] only; λ ≤ 6 builds in
     /// seconds, larger tables should be built offline and passed to
@@ -156,6 +155,8 @@ pub fn verify_with_table(table: LookupTable, config: &VerifyConfig) -> VerifyRep
     let mut serial: Vec<RouteResult> = Vec::with_capacity(nets.len());
 
     for (index, net) in nets.iter().enumerate() {
+        // The serial route is the batch pair's reference.
+        serial.push(harness.router.route(net));
         for (slot, &pair) in PathPair::ALL.iter().enumerate() {
             if pair == PathPair::BatchVsSerial {
                 continue; // whole-corpus check, runs after the loop
@@ -164,16 +165,7 @@ pub fn verify_with_table(table: LookupTable, config: &VerifyConfig) -> VerifyRep
                 continue;
             }
             counts[slot] += 1;
-            // The cache pair doubles as the serial reference for the
-            // batch pair, so its route result is kept either way.
-            let divergence = if pair == PathPair::CachedVsUncached {
-                let (result, divergence) = harness.cached_vs_uncached(net);
-                serial.push(result);
-                divergence
-            } else {
-                harness.divergence(pair, net)
-            };
-            if divergence.is_some() {
+            if harness.divergence(pair, net).is_some() {
                 let cx = harness.minimized(pair, index, net);
                 return finish(config, nets.len(), counts, Some(cx), None);
             }
@@ -193,7 +185,7 @@ pub fn verify_with_table(table: LookupTable, config: &VerifyConfig) -> VerifyRep
     thread_sweep.sort_unstable();
     thread_sweep.dedup();
     for threads in thread_sweep {
-        let batch = harness.cached.route_batch(&nets, threads);
+        let batch = harness.router.route_batch(&nets, threads);
         for (index, (batched, serial)) in batch.iter().zip(serial.iter()).enumerate() {
             counts[batch_slot] += 1;
             if let Some((fast, reference, why)) = result_mismatch(batched, serial) {
@@ -216,7 +208,7 @@ pub fn verify_with_table(table: LookupTable, config: &VerifyConfig) -> VerifyRep
     // ECO pair, batch half: the per-net loop above already held every
     // serial `reroute` to the fresh-route oracle; here the same deltas
     // go through `route_batch_deltas` at 1 and N threads and must agree
-    // slot-for-slot — replay determinism under every steal schedule.
+    // slot-for-slot — determinism under every steal schedule.
     let delta_slot = PathPair::ALL
         .iter()
         .position(|&p| p == PathPair::DeltaVsFresh)
@@ -236,7 +228,7 @@ pub fn verify_with_table(table: LookupTable, config: &VerifyConfig) -> VerifyRep
             job_origin.push((index, name));
         }
     }
-    let engine = harness.cached.engine();
+    let engine = harness.router.engine();
     let (serial_deltas, _) = engine.route_batch_deltas(&jobs, 1);
     let (threaded_deltas, _) = engine.route_batch_deltas(&jobs, configured.max(2));
     for (slot, (one, many)) in serial_deltas.iter().zip(&threaded_deltas).enumerate() {
@@ -360,22 +352,18 @@ struct Harness {
     /// The same table served zero-copy from a saved file via
     /// `open_mmap` — borrowed arenas, not owned copies.
     mapped: LookupTable,
-    /// Production-shaped router, minus the degradation ladder: cache
-    /// enabled, local search above λ, strict resilience so table damage
-    /// surfaces as route errors instead of being absorbed by a fallback
-    /// rung (a differential oracle must see the damage, not mask it).
-    cached: PatLabor,
-    /// The cache-disabled reference router (also strict).
-    uncached: PatLabor,
+    /// Production-shaped router, minus the degradation ladder: local
+    /// search above λ, strict resilience so table damage surfaces as
+    /// route errors instead of being absorbed by a fallback rung (a
+    /// differential oracle must see the damage, not mask it).
+    router: PatLabor,
     /// The ladder under test: full resilience with the primary rung
     /// forced off by an injected missing-degree fault, so in-table nets
     /// serve via numeric DW and out-of-table nets via the baseline.
     fallback: PatLabor,
-    /// The in-process side of the served-vs-direct pair: a
-    /// cache-disabled engine over the same table the daemon serves, so
-    /// both sides are pure functions of the net and the wire reply can
-    /// be demanded byte-identical (a shared cache would make provenance
-    /// depend on call order).
+    /// The in-process side of the served-vs-direct pair: the engine the
+    /// daemon serves. Routing is a pure function of the net, so the wire
+    /// reply can be demanded byte-identical.
     serve_engine: Engine,
     /// The wire side: a client connected to `server`. `RefCell` because
     /// the harness checks pairs serially but through `&self`. Declared
@@ -475,16 +463,13 @@ impl Harness {
             probability: 1.0,
         });
         // The served-vs-direct pair: one daemon for the whole run,
-        // serving the table under test with the cache disabled on both
-        // sides (so wire and direct replies are pure functions of the
-        // net and can be demanded byte-identical). Zero coalescing
-        // window — transport is under test here, not batching.
+        // serving the table under test. Zero coalescing window —
+        // transport is under test here, not batching.
         let serve_failure = |detail: String| Counterexample {
             pair: PathPair::ServedVsDirect,
             ..roundtrip_failure(detail)
         };
-        let serve_engine =
-            Engine::with_table(table.clone()).with_cache(CacheConfig::disabled());
+        let serve_engine = Engine::with_table(table.clone());
         let server = patlabor_serve::serve(
             serve_engine.clone(),
             ServeConfig {
@@ -498,12 +483,8 @@ impl Harness {
         let wire = RouteClient::connect(server.addr())
             .map_err(|e| serve_failure(format!("connecting to the serve daemon failed: {e}")))?;
         Ok(Harness {
-            cached: PatLabor::with_table_and_config(table.clone(), strict.clone()),
-            uncached: PatLabor::with_table_and_config(table.clone(), strict)
-                .with_cache(CacheConfig::disabled()),
-            fallback: PatLabor::with_table(table.clone())
-                .with_cache(CacheConfig::disabled())
-                .with_faults(lut_off),
+            router: PatLabor::with_table_and_config(table.clone(), strict),
+            fallback: PatLabor::with_table(table.clone()).with_faults(lut_off),
             serve_engine,
             wire: RefCell::new(wire),
             wire_id: Cell::new(0),
@@ -524,10 +505,10 @@ impl Harness {
         match pair {
             // The DW oracle is exponential in degree; capped explicitly.
             PathPair::LutVsNumericDw => (3..=self.dw_cap).contains(&d),
-            // Cache, batch and the wire round trip cover every degree,
-            // local search included — the daemon must be transparent
-            // for whatever the engine can route.
-            PathPair::CachedVsUncached | PathPair::BatchVsSerial | PathPair::ServedVsDirect => true,
+            // Batch and the wire round trip cover every degree, local
+            // search included — the daemon must be transparent for
+            // whatever the engine can route.
+            PathPair::BatchVsSerial | PathPair::ServedVsDirect => true,
             // Exact-path-only invariants: local search (> λ) promises
             // neither D4 invariance nor table-backed answers.
             PathPair::D4Translation | PathPair::SaveLoadRoundTrip | PathPair::MmapVsOwned => {
@@ -537,9 +518,8 @@ impl Harness {
             // degrees exercise the baseline rung instead. Degrees in
             // between (dw_cap < d ≤ λ) have no affordable oracle.
             PathPair::FallbackParity => (3..=self.dw_cap).contains(&d) || d > self.lambda,
-            // Winner-id replay exists only for table-backed degrees; the
-            // deltas themselves may push the edited net out of λ, which
-            // the pair covers via the ladder fallback.
+            // Base nets are table-backed; the deltas themselves may push
+            // the edited net out of λ.
             PathPair::DeltaVsFresh => (3..=self.lambda).contains(&d),
         }
     }
@@ -551,7 +531,6 @@ impl Harness {
         }
         match pair {
             PathPair::LutVsNumericDw => self.lut_vs_dw(net),
-            PathPair::CachedVsUncached => self.cached_vs_uncached(net).1,
             PathPair::D4Translation => self.d4_translation(net),
             PathPair::SaveLoadRoundTrip => self.save_load(net),
             PathPair::MmapVsOwned => self.mmap_vs_owned(net),
@@ -565,7 +544,7 @@ impl Harness {
     /// Pair (a): the production exact path vs a fresh numeric DW run.
     fn lut_vs_dw(&self, net: &Net) -> Option<Divergence> {
         let reference = numeric::pareto_frontier(net, &DwConfig::default()).cost_vec();
-        match self.uncached.route(net) {
+        match self.router.route(net) {
             Ok(outcome) => {
                 let fast = outcome.frontier.cost_vec();
                 (fast != reference).then(|| Divergence {
@@ -582,36 +561,16 @@ impl Harness {
         }
     }
 
-    /// Pair (b): route three times — cache-disabled (reference), first
-    /// cached call (fills the cache), second cached call (replays the
-    /// cached ids). All three frontiers must be identical, witness trees
-    /// included. Also returns the first cached result as the serial
-    /// reference for the batch pair.
-    fn cached_vs_uncached(&self, net: &Net) -> (RouteResult, Option<Divergence>) {
-        let reference = self.uncached.route(net);
-        let first = self.cached.route(net);
-        let replay = self.cached.route(net);
-        let legs = [(&first, "cache-filling"), (&replay, "cache-replay")];
-        let divergence = legs.into_iter().find_map(|(result, leg)| {
-            result_mismatch(result, &reference).map(|(fast, reference, why)| Divergence {
-                fast,
-                reference,
-                detail: format!("{leg} route: {why}"),
-            })
-        });
-        (first, divergence)
-    }
-
     /// Pair (d): the frontier's cost set is a geometric invariant, so
     /// every D4 image and a translated copy must route to the same costs.
     fn d4_translation(&self, net: &Net) -> Option<Divergence> {
-        let reference = match self.uncached.route(net) {
+        let reference = match self.router.route(net) {
             Ok(outcome) => outcome.frontier.cost_vec(),
-            // A base-net error is the cache pair's divergence, not ours.
+            // A base-net error is the DW pair's divergence, not ours.
             Err(_) => return None,
         };
         for (name, image) in congruent_images(net) {
-            let fast = match self.uncached.route(&image) {
+            let fast = match self.router.route(&image) {
                 Ok(outcome) => outcome.frontier.cost_vec(),
                 Err(e) => {
                     return Some(Divergence {
@@ -641,7 +600,7 @@ impl Harness {
         let original_ids = self.table.candidate_ids(&class);
         let reloaded_ids = self.loaded.candidate_ids(&class);
         match (original_ids, reloaded_ids) {
-            (None, None) => None, // a missing pattern is the cache pair's find
+            (None, None) => None, // a missing pattern is the DW pair's find
             (Some(original_ids), Some(reloaded_ids)) => {
                 let original = self.table.score_candidates(&class, original_ids);
                 let reloaded = self.loaded.score_candidates(&class, reloaded_ids);
@@ -728,7 +687,7 @@ impl Harness {
         if net.degree() <= self.dw_cap {
             // Cost-only comparison: the DW rung enumerates fresh witness
             // trees that may legitimately differ from the LUT's pool.
-            let reference = match self.uncached.route(net) {
+            let reference = match self.router.route(net) {
                 Ok(reference) => reference.frontier.cost_vec(),
                 Err(e) => {
                     return Some(Divergence {
@@ -756,8 +715,8 @@ impl Harness {
     /// framed socket and demand the reply byte-identical to the
     /// locally-serialized result of the same engine's in-process
     /// `route`. Costs, provenance labels, the degradation trace, JSON
-    /// framing — all of it; both sides are cache-disabled pure
-    /// functions, so any difference is the transport's fault.
+    /// framing — all of it; both sides are pure functions of the net, so
+    /// any difference is the transport's fault.
     fn served_vs_direct(&self, net: &Net) -> Option<Divergence> {
         let id = self.wire_id.get();
         self.wire_id.set(id + 1);
@@ -786,23 +745,20 @@ impl Harness {
         })
     }
 
-    /// ECO pair, per-net half: route the net once, then for every delta
-    /// kind `Engine::reroute` from that outcome must match a fresh,
-    /// cache-disabled route of the edited net — frontier, witness trees
-    /// and all. Class-preserving edits take the winner-id replay path;
-    /// class-breaking ones fall through the ordinary ladder; the oracle
-    /// cannot tell and demands the same answer either way.
+    /// ECO pair, per-net half: for every delta kind,
+    /// `Engine::reroute_with_staleness` must match a fresh route of the
+    /// edited net — frontier, witness trees and all — whatever lineage
+    /// length the caller reports.
     fn delta_vs_fresh(&self, net: &Net) -> Option<Divergence> {
-        let engine = self.cached.engine();
-        let prev = match engine.route(net) {
-            Ok(outcome) => outcome,
-            // A base-net error is the cache pair's divergence, not ours.
-            Err(_) => return None,
-        };
+        let engine = self.router.engine();
+        if engine.route(net).is_err() {
+            // A base-net error is the DW pair's divergence, not ours.
+            return None;
+        }
         for (name, kind) in delta_kinds(net) {
             let delta = NetDelta::new(net.clone(), kind);
-            let fast = engine.reroute(&prev, &delta, Session::default());
-            let reference = self.uncached.route(&delta.apply());
+            let fast = engine.reroute_with_staleness(&delta, 1, &Session::default());
+            let reference = self.router.route(&delta.apply());
             if let Some((fast_costs, reference_costs, why)) = result_mismatch(&fast, &reference) {
                 let via = fast
                     .as_ref()
@@ -1052,7 +1008,7 @@ mod tests {
     use super::*;
 
     /// Small-but-complete config: λ = 4 tables build instantly, degree 5
-    /// still exercises the local-search path through the cache and batch
+    /// still exercises the local-search path through the batch and wire
     /// pairs, and every pair gets double-digit coverage.
     fn small_config() -> VerifyConfig {
         VerifyConfig {
@@ -1156,9 +1112,7 @@ mod tests {
         let config = small_config();
         let mut table = LutBuilder::new(config.lambda).build();
         // Wipe a whole degree: every degree-4 net now fails to route,
-        // which the cache pair reports as a route error mismatch only if
-        // fast/slow disagree — both error identically, so the harness
-        // flags it via the DW pair (router errors, oracle doesn't).
+        // which the DW pair flags (router errors, oracle doesn't).
         table.remove_degree(4);
         let report = verify_with_table(table, &config);
         let cx = report.counterexample.expect("a gutted table must fail verification");

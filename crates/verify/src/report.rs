@@ -14,9 +14,6 @@ pub enum PathPair {
     /// LUT dot-product query vs a fresh numeric DW enumeration on the
     /// instance — the exactness claim of the whole table machinery.
     LutVsNumericDw,
-    /// Cache-replayed winning ids (and the warm second route) vs a
-    /// cache-disabled full query.
-    CachedVsUncached,
     /// `route_batch` at N threads vs the serial per-net loop.
     BatchVsSerial,
     /// Metamorphic invariance: the frontier costs of every D4 image and
@@ -37,8 +34,8 @@ pub enum PathPair {
     /// out-of-table degrees must fall to the baseline rung and serve
     /// valid, cost-consistent, mutually non-dominated trees.
     FallbackParity,
-    /// The serve daemon's wire round trip vs an in-process route on a
-    /// cache-disabled clone of the daemon's engine: the framed reply
+    /// The serve daemon's wire round trip vs an in-process route on the
+    /// daemon's engine: the framed reply
     /// must be *byte-identical* to the locally-serialized
     /// `result_to_json` of the direct call — frontier, provenance,
     /// trace and all. Any byte of daylight indicts the transport
@@ -46,19 +43,16 @@ pub enum PathPair {
     ServedVsDirect,
     /// ECO delta rerouting vs a fresh route of the mutated net: for
     /// every delta kind (move-pin, add/remove-sink, translate,
-    /// blockage), `Engine::reroute` of the prior outcome must produce
-    /// the frontier a from-scratch route of the edited net produces —
-    /// whether the edit preserved the congruence class (winner-id
-    /// replay) or broke it (ladder fallback). Checked serially and
-    /// through `route_batch_deltas` at N threads.
+    /// blockage), `Engine::reroute_with_staleness` must produce the
+    /// frontier a from-scratch route of the edited net produces.
+    /// Checked serially and through `route_batch_deltas` at N threads.
     DeltaVsFresh,
 }
 
 impl PathPair {
     /// Every pair, in the order the harness checks them.
-    pub const ALL: [PathPair; 9] = [
+    pub const ALL: [PathPair; 8] = [
         PathPair::LutVsNumericDw,
-        PathPair::CachedVsUncached,
         PathPair::D4Translation,
         PathPair::SaveLoadRoundTrip,
         PathPair::MmapVsOwned,
@@ -72,7 +66,6 @@ impl PathPair {
     pub fn label(self) -> &'static str {
         match self {
             PathPair::LutVsNumericDw => "lut-vs-numeric-dw",
-            PathPair::CachedVsUncached => "cached-vs-uncached",
             PathPair::BatchVsSerial => "batch-vs-serial",
             PathPair::D4Translation => "d4-translation",
             PathPair::SaveLoadRoundTrip => "save-load-roundtrip",
@@ -87,14 +80,13 @@ impl PathPair {
     pub fn fast_path(self) -> &'static str {
         match self {
             PathPair::LutVsNumericDw => "LUT dot-product query",
-            PathPair::CachedVsUncached => "frontier-cache replay",
             PathPair::BatchVsSerial => "lock-free route_batch",
             PathPair::D4Translation => "route of a congruent image",
             PathPair::SaveLoadRoundTrip => "reloaded v4 table",
             PathPair::MmapVsOwned => "mmap-backed zero-copy table",
             PathPair::FallbackParity => "LUT-off degradation ladder",
             PathPair::ServedVsDirect => "serve-daemon wire round trip",
-            PathPair::DeltaVsFresh => "ECO delta reroute (winner-id replay)",
+            PathPair::DeltaVsFresh => "ECO delta reroute",
         }
     }
 
@@ -102,7 +94,6 @@ impl PathPair {
     pub fn oracle(self) -> &'static str {
         match self {
             PathPair::LutVsNumericDw => "fresh numeric DW enumeration",
-            PathPair::CachedVsUncached => "cache-disabled full query",
             PathPair::BatchVsSerial => "serial per-net routing loop",
             PathPair::D4Translation => "route of the base net",
             PathPair::SaveLoadRoundTrip => "in-memory built table",
@@ -354,7 +345,7 @@ mod tests {
             seed: 7,
             corpus_size: 100,
             checks: vec![CheckSummary {
-                pair: PathPair::CachedVsUncached,
+                pair: PathPair::BatchVsSerial,
                 nets_checked: 100,
             }],
             counterexample: None,
@@ -362,7 +353,7 @@ mod tests {
         };
         assert!(report.is_clean());
         let text = report.summary();
-        assert!(text.contains("cached-vs-uncached"));
+        assert!(text.contains("batch-vs-serial"));
         assert!(text.contains("all fast paths agree"));
     }
 }

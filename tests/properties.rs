@@ -2,7 +2,6 @@
 
 use std::sync::OnceLock;
 
-use patlabor::cache::CacheKey;
 use patlabor::{Net, PatLabor, Point};
 use patlabor_dw::{numeric, DwConfig};
 use patlabor_geom::{NetClass, Pattern};
@@ -113,25 +112,21 @@ proptest! {
     }
 
     /// The standalone canonicalizer and the LUT's classification stage
-    /// are the same function: identical canonical key, identical gap
-    /// vector, and therefore identical cache keys — the invariant the
-    /// frontier cache and the LUT replay both rest on.
+    /// are the same function: identical `(canonical key, canonical
+    /// gaps)` congruence class — the invariant the LUT query rests on.
     #[test]
     fn netclass_and_lut_classification_agree(net in arb_net(5, 40)) {
         let standalone = NetClass::of(&net).expect("degree ≤ 16 always classifies");
         let via_table = router().table().classify(&net).expect("degree ≤ λ");
-        prop_assert_eq!(standalone.canonical_key(), via_table.canonical_key());
-        prop_assert_eq!(standalone.canonical_gaps(), via_table.canonical_gaps());
-        prop_assert_eq!(standalone.degree(), via_table.degree());
-        // Cache keys derive from the class and only the class.
         prop_assert_eq!(
-            CacheKey::from_class(&standalone),
-            CacheKey::new(via_table.canonical_key(), via_table.canonical_gaps())
+            (standalone.canonical_key(), standalone.canonical_gaps()),
+            (via_table.canonical_key(), via_table.canonical_gaps())
         );
+        prop_assert_eq!(standalone.degree(), via_table.degree());
     }
 
-    /// All 8 D4 images of a net classify to one `NetClass` (same key,
-    /// same gaps, same cache key), and each image's inverse transform
+    /// All 8 D4 images of a net classify to one congruence class (same
+    /// `(canonical key, canonical gaps)`), and each image's inverse transform
     /// maps the shared canonical pins back onto that image's own pins.
     #[test]
     fn netclass_is_d4_invariant_with_correct_inverse(net in arb_general_position_net(40)) {
@@ -149,11 +144,9 @@ proptest! {
         for (i, f) in images.iter().enumerate() {
             let image = net.map_points(f);
             let class = NetClass::of(&image).expect("degree ≤ 16 always classifies");
-            prop_assert_eq!(class.canonical_key(), base.canonical_key(), "image {}", i);
-            prop_assert_eq!(class.canonical_gaps(), base.canonical_gaps(), "image {}", i);
             prop_assert_eq!(
-                CacheKey::from_class(&class),
-                CacheKey::from_class(&base),
+                (class.canonical_key(), class.canonical_gaps()),
+                (base.canonical_key(), base.canonical_gaps()),
                 "image {}", i
             );
             // The inverse must land the canonical pins on this image's
